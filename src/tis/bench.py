@@ -9,10 +9,11 @@ Column schema is fixed for downstream tooling:
 objective and oracle_objective are exact rationals. ratio_bound is the
 greedy guarantee (tau - delta + 1) * 2^delta and is only filled on greedy
 rows of unit instances; bound_holds checks objective * ratio_bound >=
-oracle_objective whenever both sides are known. Unreadable files produce a
-single row with verified=ERROR and the run continues. Rows are sorted by
-(instance, algorithm) before writing, so the CSV is deterministic up to the
-runtime_ms column.
+oracle_objective whenever both sides are known. verified is the
+independence verdict of verify_solution on the row's set, not the solver's
+own certificate. Unreadable files produce a single row with verified=ERROR
+and the run continues. Rows are sorted by (instance, algorithm) before
+writing, so the CSV is deterministic up to the runtime_ms column.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .solvers import (
     solve_exact_op,
     solve_fpt,
     solve_greedy,
+    verify_solution,
 )
 
 COLUMNS = [
@@ -63,17 +65,22 @@ def _greedy_ratio(inst: TemporalIntervalInstance) -> Optional[int]:
     return (inst.tau - inst.delta + 1) * 2**inst.delta
 
 
+def _timed(runner: Callable[[], Solution]) -> tuple[Solution, float]:
+    t0 = time.perf_counter()
+    sol = runner()
+    return sol, (time.perf_counter() - t0) * 1000.0
+
+
 def _row(
     inst: TemporalIntervalInstance,
     name: str,
     algorithm: str,
-    runner: Callable[[], Solution],
+    sol: Solution,
+    elapsed_ms: float,
     oracle: Optional[Fraction],
+    semantics: WindowSemantics,
 ) -> dict[str, str]:
-    t0 = time.perf_counter()
-    sol = runner()
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    verified = sol.certificate is not None and sol.certificate.independent
+    verified = verify_solution(inst, sol.selected, semantics).independent
     ratio = _greedy_ratio(inst) if algorithm == "greedy" else None
     bound = ""
     if ratio is not None and oracle is not None:
@@ -138,46 +145,25 @@ def _instance_rows(
     semantics: WindowSemantics,
     oracle_limit: int,
 ) -> list[dict[str, str]]:
-    oracle: Optional[Fraction] = None
-    exact_sol: Optional[Solution] = None
+    """One row per algorithm that applies; the timed exact run doubles as
+    the oracle for every row."""
+    runs: dict[str, tuple[Solution, float]] = {}
     if inst.n <= oracle_limit:
-        exact_sol = solve_exact_bruteforce(inst, semantics, limit=oracle_limit)
-        oracle = exact_sol.objective
-
-    rows = [_row(inst, name, "greedy", lambda: solve_greedy(inst, semantics), oracle)]
-    if exact_sol is not None:
-        rows.append(
-            _row(
-                inst,
-                name,
-                "exact",
-                lambda: solve_exact_bruteforce(inst, semantics, limit=oracle_limit),
-                oracle,
-            )
+        runs["exact"] = _timed(
+            lambda: solve_exact_bruteforce(inst, semantics, limit=oracle_limit)
         )
+    runs["greedy"] = _timed(lambda: solve_greedy(inst, semantics))
     if inst.unit_flag:
         rep = recognize_order_preserving(inst)
         if rep.is_order_preserving and rep.ordering is not None:
-            rows.append(
-                _row(
-                    inst,
-                    name,
-                    "op",
-                    lambda: solve_exact_op(inst, rep.ordering, semantics),
-                    oracle,
-                )
-            )
+            runs["op"] = _timed(lambda: solve_exact_op(inst, rep.ordering, semantics))
         try:
             deletion = min_opvd(inst).deletion_set
-            rows.append(
-                _row(
-                    inst,
-                    name,
-                    "fpt",
-                    lambda: solve_fpt(inst, deletion, semantics),
-                    oracle,
-                )
-            )
+            runs["fpt"] = _timed(lambda: solve_fpt(inst, deletion, semantics))
         except (BudgetExceeded, LimitExceeded):
             pass
-    return rows
+    oracle = runs["exact"][0].objective if "exact" in runs else None
+    return [
+        _row(inst, name, algorithm, sol, elapsed_ms, oracle, semantics)
+        for algorithm, (sol, elapsed_ms) in runs.items()
+    ]

@@ -14,8 +14,10 @@ Shared flags (valid after any subcommand): --window-semantics figure|formula,
 
 Exit codes: 0 success / decision yes; 1 decision no (not order preserving,
 cardinality below target, deletion budget exceeded); 2 input error;
-3 oracle size limit exceeded. All output is deterministic for fixed inputs
-and seeds; timing data only ever goes to bench CSV files, never stdout.
+3 oracle size limit exceeded; 4 internal error (a computed result failed
+its own check: a bug in tis, not in the input). All output is
+deterministic for fixed inputs and seeds; timing data only ever goes to
+bench CSV files, never stdout.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .generators import gen_lcsp_gadget, gen_order_preserving, gen_random_unit
 from .model import (
     BudgetExceeded,
     InstanceError,
+    InternalError,
     LimitExceeded,
     NotUnitError,
     TemporalIntervalInstance,
@@ -305,6 +308,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except LimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (
         InstanceError,
         NotUnitError,

@@ -21,11 +21,12 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import networkx as nx
 
 from .model import (
+    InternalError,
     IntervalModel,
     NotUnitError,
     Solution,
@@ -130,27 +131,71 @@ def _as_rows(m: MatrixLike, ncols: int | None) -> tuple[list[frozenset[int]], in
 
 
 def c1p_test(m: MatrixLike, ncols: int | None = None) -> C1PResult:
-    """Consecutive-ones test with a verified ordering or a minimal witness."""
+    """Consecutive-ones test with a verified ordering or a minimal witness.
+
+    The consecutive ones property is hereditary under column deletion, so
+    one shrinking pass yields an inclusion-minimal non-C1P column subset."""
     rows, ncols = _as_rows(m, ncols)
     order = c1p_order(rows, ncols)
     if order is not None:
         if not check_consecutive(rows, order):
-            raise RuntimeError("internal error: returned ordering failed row scan")
+            raise InternalError("returned ordering failed row scan")
         return C1PResult(ordering=tuple(order), witness=None)
-    return C1PResult(ordering=None, witness=_minimize_witness(rows, ncols))
+    witness = shrink_witness(
+        range(ncols), lambda cols: c1p_order([r & cols for r in rows], ncols) is None
+    )
+    return C1PResult(ordering=None, witness=witness)
 
 
-def _minimize_witness(rows: list[frozenset[int]], ncols: int) -> tuple[int, ...]:
-    """Greedy single-pass column dropping. The consecutive ones property is
-    hereditary under column deletion, so one pass yields an inclusion-minimal
-    non-C1P column subset."""
-    keep = set(range(ncols))
-    for c in range(ncols):
-        trial = keep - {c}
-        sub = [r & trial for r in rows]
-        if c1p_order(sub, ncols) is None:
+def shrink_witness(
+    items: Iterable[int], fails: Callable[[frozenset[int]], bool]
+) -> tuple[int, ...]:
+    """An inclusion-minimal subset of `items` on which `fails` holds.
+
+    Requires `fails(items)` and a hereditary failure: whenever a subset
+    fails, so does every superset of it. One ascending pass then suffices:
+    drop each item whose removal keeps the subset failing.
+    """
+    keep = frozenset(items)
+    for x in sorted(keep):
+        trial = keep - {x}
+        if fails(trial):
             keep = trial
     return tuple(sorted(keep))
+
+
+def lex_min_optimum(
+    weights: Sequence[Fraction],
+    value: Callable[[Iterable[int]], Fraction],
+    compatible: Callable[[int, int], bool],
+) -> tuple[frozenset[int], Fraction]:
+    """The lexicographically smallest maximum-weight set of pairwise
+    compatible vertices (indices into `weights`), and its weight.
+
+    `value(allowed)` is the optimum weight within `allowed`. Greedy
+    completion: scan vertices in index order and keep v exactly when some
+    optimum extends the current prefix through v. The invariant (the kept
+    prefix extends to an optimum) holds at every step, so the result is
+    optimal and lex-minimal among optimal sets.
+    """
+    n = len(weights)
+    opt = value(range(n))
+    chosen: list[int] = []
+    total = Fraction(0)
+    allowed = set(range(n))
+    for v in range(n):
+        if total == opt:
+            break  # any extension would only be lexicographically larger
+        if v not in allowed:
+            continue
+        rest = {u for u in allowed if u > v and compatible(u, v)}
+        if total + weights[v] + value(rest) == opt:
+            chosen.append(v)
+            total += weights[v]
+            allowed = rest
+    if total != opt:
+        raise InternalError(f"completion reached {total}, optimum is {opt}")
+    return frozenset(chosen), opt
 
 
 # -- maximum-weight independent set on an interval model ---------------------
@@ -162,29 +207,17 @@ def mwis_interval(model: IntervalModel, weights: Sequence[Fraction]) -> Solution
     Among equal-weight optima, returns the lexicographically smallest index
     set (decided by greedy completion against the DP optimum).
     """
-    n = model.n
-    if len(weights) != n:
+    if len(weights) != model.n:
         raise ValueError("weight count does not match model size")
     weights = [Fraction(w) for w in weights]
     if any(w < 0 for w in weights):
         raise ValueError("negative weight refused")
-
-    opt = _mwis_value(model, weights, range(n))
-    chosen: list[int] = []
-    total = Fraction(0)
-    allowed = list(range(n))
-    for v in range(n):
-        if total == opt:
-            break  # any extension would only be lexicographically larger
-        if v not in allowed:
-            continue
-        rest = [u for u in allowed if u > v and not model.intersects(u, v)]
-        if total + weights[v] + _mwis_value(model, weights, rest) == opt:
-            chosen.append(v)
-            total += weights[v]
-            allowed = rest
-    assert total == opt
-    return Solution(frozenset(chosen), opt, "mwis-interval")
+    selected, opt = lex_min_optimum(
+        weights,
+        lambda allowed: _mwis_value(model, weights, allowed),
+        lambda u, v: not model.intersects(u, v),
+    )
+    return Solution(selected, opt, "mwis-interval")
 
 
 def _mwis_value(
@@ -388,7 +421,7 @@ def recognize_unit_interval(g: StaticGraph) -> UnitIntervalResult:
         intervals[v] = (lefts[j], lefts[j] + 1)
     model = IntervalModel(intervals)
     if model.induced_graph() != g:
-        raise RuntimeError("internal error: synthesized unit model mismatch")
+        raise InternalError("synthesized unit model mismatch")
     return UnitIntervalResult(model, sigma, None)
 
 
@@ -433,7 +466,7 @@ def _unit_lefts(g: StaticGraph, sigma: REOrdering) -> list[Fraction]:
         if not changed:
             break
     else:
-        raise RuntimeError("internal error: unit synthesis constraints infeasible")
+        raise InternalError("unit synthesis constraints infeasible")
 
     mu = Fraction(1, n + 1)
     for _ in range(8 * n + 8):
@@ -441,7 +474,7 @@ def _unit_lefts(g: StaticGraph, sigma: REOrdering) -> list[Fraction]:
         if _unit_lefts_realize(g, order, xs):
             return xs
         mu /= 2
-    raise RuntimeError("internal error: no margin made the unit model exact")
+    raise InternalError("no margin made the unit model exact")
 
 
 def _unit_lefts_realize(

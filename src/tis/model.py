@@ -64,6 +64,11 @@ class BudgetExceeded(RuntimeError):
     """No deletion set within the requested budget exists."""
 
 
+class InternalError(RuntimeError):
+    """A computed result failed its own consistency check: a bug in the
+    library, never a property of the input."""
+
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9][0-9]*)?$")
 _NAME_RE = re.compile(r"^\S+$")
 
@@ -353,9 +358,6 @@ class TemporalIntervalInstance:
     def vertex_set(self, refs: Iterable[VertexRef]) -> frozenset[int]:
         return frozenset(self.vertex_index(r) for r in refs)
 
-    def weight_of(self, vs: Iterable[int]) -> Fraction:
-        return sum((self.weights[v] for v in vs), Fraction(0))
-
     def layer_model(self, t: int) -> IntervalModel:
         if self.mode != "model":
             raise InstanceError("instance has no interval models (edges mode)")
@@ -414,11 +416,6 @@ class Solution:
     @property
     def cardinality(self) -> int:
         return len(self.selected)
-
-
-def layer_graph(inst: TemporalIntervalInstance, t: int) -> StaticGraph:
-    """Module-level alias for the layer accessor; t is 1-based."""
-    return inst.layer_graph(t)
 
 
 # -- instance file parsing ---------------------------------------------------

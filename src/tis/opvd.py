@@ -26,19 +26,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .intervals import REOrdering, ensure_unit
+from .intervals import ensure_unit, shrink_witness
 from .model import (
     BudgetExceeded,
+    InternalError,
     LimitExceeded,
     TemporalIntervalInstance,
     remove_vertices,
 )
-from .order import (
-    CliqueMatrix,
-    OrderPreservationReport,
-    pooled_clique_matrix,
-    recognize_order_preserving,
-)
+from .order import OrderPreservationReport, recognize_order_preserving
 
 EXHAUSTIVE_DEFAULT_LIMIT = 16
 
@@ -84,18 +80,18 @@ class _RecognitionCache:
         )
 
 
-def _hereditary_witness(cache: _RecognitionCache, dels: frozenset[int]) -> list[int]:
+def _hereditary_witness(
+    cache: _RecognitionCache, dels: frozenset[int]
+) -> tuple[int, ...]:
     """An inclusion-minimal vertex set (disjoint from dels) whose induced
     sub-instance is not order preserving. One greedy pass suffices because
     order preservation is hereditary."""
-    n = cache.inst.n
-    support = frozenset(range(n)) - dels
-    assert not cache.is_op(dels)
-    for v in sorted(support):
-        trial = support - {v}
-        if not cache.is_op(frozenset(range(n)) - trial):
-            support = trial
-    return sorted(support)
+    if cache.is_op(dels):
+        raise InternalError("no witness: the reduced instance is order preserving")
+    everything = frozenset(range(cache.inst.n))
+    return shrink_witness(
+        everything - dels, lambda kept: not cache.is_op(everything - kept)
+    )
 
 
 def min_opvd(
@@ -176,28 +172,3 @@ def opvd_exhaustive(
                     ordering=tuple(keep[i] for i in rep.ordering.order),
                 )
     raise AssertionError("unreachable: the empty instance is order preserving")
-
-
-def reduce_to_column_deletion(
-    inst: TemporalIntervalInstance,
-) -> tuple[CliqueMatrix, tuple[str, ...]]:
-    """The pooled clique matrix plus the column-to-vertex-name bijection.
-
-    Deleting a column set makes the matrix consecutive-ones-orderable iff
-    deleting the mapped vertices makes the instance order preserving,
-    *provided* rows are re-derived as maximal cliques of the reduced layers
-    (column_deletion_check does that); maximality is not hereditary under
-    vertex deletion, so dropping matrix columns in place is not sound.
-    """
-    ensure_unit(inst)
-    return pooled_clique_matrix(inst), tuple(inst.names)
-
-
-def column_deletion_check(inst: TemporalIntervalInstance, cols: Iterable) -> bool:
-    """Would deleting these columns (vertices) leave a consecutive-ones
-    pooled matrix? Evaluated by re-extracting cliques from the reduced
-    instance, per reduce_to_column_deletion's contract."""
-    from .intervals import c1p_test
-
-    reduced = remove_vertices(inst, inst.vertex_set(cols))
-    return c1p_test(pooled_clique_matrix(reduced)).is_c1p

@@ -9,12 +9,13 @@ clique cover forces the per-layer agreement condition directly.
 
 On an order-preserving instance the conflict graph itself is an interval
 graph: normalize every layer to the common ordering, intersect the models
-inside each window (pointwise max of left endpoints), and union across
-windows (pointwise min). conflict_interval_model performs that fold.
+inside each window and union across windows (intersect_models and
+union_models). conflict_interval_model performs that fold.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -23,14 +24,17 @@ from .conflict import WindowSemantics, window_plan
 from .intervals import (
     CliqueMatrix,
     CliqueRow,
+    OrderingIncompatible,
     REOrdering,
     c1p_test,
     ensure_unit,
+    intersect_models,
     maximal_cliques,
     maximal_cliques_abstract,
     normalized_model_for,
+    union_models,
 )
-from .model import IntervalModel, TemporalIntervalInstance
+from .model import InternalError, IntervalModel, TemporalIntervalInstance
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,12 @@ def recognize_order_preserving(
         return OrderPreservationReport(False, None, res.witness)
     ordering = REOrdering(res.ordering)
     for t in range(1, inst.tau + 1):
-        normalized_model_for(inst.layer_graph(t), ordering)  # raises if not agreeing
+        try:
+            normalized_model_for(inst.layer_graph(t), ordering)
+        except OrderingIncompatible as exc:
+            raise InternalError(
+                f"C1P ordering disagrees with layer {t}: {exc}"
+            ) from exc
     return OrderPreservationReport(True, ordering, None)
 
 
@@ -96,25 +105,25 @@ def conflict_interval_model(
 ) -> IntervalModel:
     """Interval model of the conflict graph along a common agreeing ordering.
 
-    Per vertex: right = its position; left = min over windows of (max over
-    the window's layers of the normalized layer left endpoint). With no
-    windows (formula semantics at delta = tau) every left equals the
-    position, i.e. the edgeless normalized model.
+    The union over windows of the intersection of each window's normalized
+    layers, starting from the edgeless normalized model (left = right =
+    position). With no windows (formula semantics at delta = tau) that
+    edgeless model is the answer.
     """
     if ordering.n != inst.n:
         raise ValueError("ordering size does not match instance")
-    layer_lefts: list[list[Fraction]] = []
-    for t in range(1, inst.tau + 1):
-        norm = normalized_model_for(inst.layer_graph(t), ordering)
-        layer_lefts.append([norm.left(v) for v in range(inst.n)])
-
+    layers = [
+        normalized_model_for(inst.layer_graph(t), ordering)
+        for t in range(1, inst.tau + 1)
+    ]
+    model = IntervalModel(
+        (Fraction(ordering.position(v)), Fraction(ordering.position(v)))
+        for v in range(inst.n)
+    )
     plan = window_plan(inst.tau, inst.delta, semantics)
-    intervals = []
-    for v in range(inst.n):
-        right = Fraction(ordering.position(v))
-        left = right
-        for start in plan.starts:
-            window_left = max(layer_lefts[t - 1][v] for t in plan.layers(start))
-            left = min(left, window_left)
-        intervals.append((left, right))
-    return IntervalModel(intervals)
+    for start in plan.starts:
+        window = functools.reduce(
+            intersect_models, (layers[t - 1] for t in plan.layers(start))
+        )
+        model = union_models(model, window)
+    return model

@@ -12,8 +12,10 @@ delta_independence_check on the input instance:
                           2^|S| independent sub-selections of S, solve the
                           order-preserving remainder exactly each time
 
-The two exact solvers resolve weight ties identically (canonical set), so
-tests may compare selected sets, not just objectives.
+solve_exact_bruteforce and solve_exact_op resolve weight ties identically
+(canonical set), so tests may compare their selected sets, not just
+objectives. solve_fpt returns an optimum too, but not necessarily the
+canonical one: on weight ties its set can differ from the other two.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from .conflict import (
     conflict_graph,
     delta_independence_check,
 )
-from .intervals import REOrdering, mwis_interval
+from .intervals import REOrdering, lex_min_optimum, mwis_interval
 from .model import (
+    InternalError,
     LimitExceeded,
     Solution,
     StaticGraph,
@@ -79,37 +82,27 @@ def _mwis_graph_value(
 
 def _max_independent_cardinality(g: StaticGraph) -> int:
     value = _mwis_graph_value(g, [Fraction(1)] * g.n, range(g.n))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InternalError(f"unit-weight optimum {value} is not an integer")
     return int(value)
 
 
-def _canonical_optimum(
-    g: StaticGraph, weights: Sequence[Fraction]
-) -> tuple[frozenset[int], Fraction]:
-    """The lexicographically smallest maximum-weight independent index set.
-
-    Greedy completion: scan vertices in index order and keep v exactly when
-    some optimum extends the current prefix through v. The invariant (the
-    kept prefix extends to an optimum) holds at every step, so the result is
-    optimal and lex-minimal among optimal sets.
-    """
-    opt = _mwis_graph_value(g, weights, range(g.n))
-    chosen: list[int] = []
-    total = Fraction(0)
-    allowed = set(range(g.n))
-    for v in range(g.n):
-        if total == opt:
-            break  # extensions can only be lexicographically larger
-        if v not in allowed:
-            continue
-        rest = frozenset(u for u in allowed if u > v and u not in g.neighbors(v))
-        if total + weights[v] + _mwis_graph_value(g, weights, rest) == opt:
-            chosen.append(v)
-            total += weights[v]
-            allowed.discard(v)
-            allowed -= g.neighbors(v)
-    assert total == opt
-    return frozenset(chosen), opt
+def _certified(
+    inst: TemporalIntervalInstance,
+    selected: frozenset[int],
+    objective: Fraction,
+    algorithm: str,
+    semantics: WindowSemantics,
+) -> Solution:
+    """Wrap a solver's answer, with its independence report as certificate;
+    a dependent answer is a bug in the solver."""
+    report = delta_independence_check(inst, selected, semantics)
+    if not report.independent:
+        raise InternalError(
+            f"{algorithm} returned a set that is not delta independent: "
+            f"violation (u, v, window start) = {report.violation}"
+        )
+    return Solution(selected, objective, algorithm, certificate=report)
 
 
 def solve_exact_bruteforce(
@@ -121,15 +114,12 @@ def solve_exact_bruteforce(
     if inst.n > limit:
         raise LimitExceeded(f"bruteforce capped at n <= {limit}, got {inst.n}")
     g = conflict_graph(inst, semantics)
-    selected, objective = _canonical_optimum(g, inst.weights)
-    report = delta_independence_check(inst, selected, semantics)
-    assert report.independent
-    return Solution(
-        selected=selected,
-        objective=objective,
-        algorithm="bruteforce",
-        certificate=report,
+    selected, objective = lex_min_optimum(
+        inst.weights,
+        lambda allowed: _mwis_graph_value(g, inst.weights, allowed),
+        lambda u, v: u not in g.neighbors(v),
     )
+    return _certified(inst, selected, objective, "bruteforce", semantics)
 
 
 def solve_greedy(
@@ -148,12 +138,7 @@ def solve_greedy(
         total += inst.weights[v]
         remaining -= g.neighbors(v)
         remaining.discard(v)
-    selected = frozenset(chosen)
-    report = delta_independence_check(inst, selected, semantics)
-    assert report.independent
-    return Solution(
-        selected=selected, objective=total, algorithm="greedy", certificate=report
-    )
+    return _certified(inst, frozenset(chosen), total, "greedy", semantics)
 
 
 def solve_exact_op(
@@ -165,14 +150,7 @@ def solve_exact_op(
     `ordering`: sweep the conflict interval model instead of branching."""
     model = conflict_interval_model(inst, ordering, semantics)
     inner = mwis_interval(model, inst.weights)
-    report = delta_independence_check(inst, inner.selected, semantics)
-    assert report.independent
-    return Solution(
-        selected=inner.selected,
-        objective=inner.objective,
-        algorithm="exact-op",
-        certificate=report,
-    )
+    return _certified(inst, inner.selected, inner.objective, "exact-op", semantics)
 
 
 def solve_fpt(
@@ -232,14 +210,7 @@ def solve_fpt(
             best_total = total
             best_selected = selected
     assert best_selected is not None
-    report = delta_independence_check(inst, best_selected, semantics)
-    assert report.independent
-    return Solution(
-        selected=best_selected,
-        objective=best_total,
-        algorithm="fpt",
-        certificate=report,
-    )
+    return _certified(inst, best_selected, best_total, "fpt", semantics)
 
 
 @dataclass(frozen=True)

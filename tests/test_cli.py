@@ -1,6 +1,8 @@
 import csv
 import io
 
+import tis.cli
+from tis.model import InternalError
 
 DATA = "tests/data"
 
@@ -128,6 +130,17 @@ class TestSolve:
                 "--k", "1", "--seed", "2", "--out", str(out))
         r = run_cli("solve", str(out), "--alg", "exact", "--limit-oracle", "8")
         assert r.returncode == 3
+
+    def test_internal_error_exits_four(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InternalError("planted failure")
+
+        monkeypatch.setattr(tis.cli, "solve_greedy", broken)
+        code = tis.cli.run(["solve", f"{DATA}/single.tis", "--alg", "greedy"])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert "planted failure" in err
 
 
 class TestOpvd:

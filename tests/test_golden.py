@@ -1,0 +1,29 @@
+"""Golden CLI output: stdout and exit code of `tis solve`, `recognize`,
+`opvd` and `conflict` on the fixtures, byte for byte.
+
+`data/golden.json` was recorded before the solver policies were shared
+between modules; every refactor since must reproduce it exactly.
+`gen_op_n40.tis` is `tis gen op --n 40 --tau 3 --delta 2 --k 10 --seed 7`;
+`gen_random_n12.tis` is `tis gen random --n 12 --tau 3 --delta 2 --k 4
+--seed 8 --spread 5 --max-weight 3`, an instance on which `fpt` and
+`exact` pick different optimal sets.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from tis.cli import run
+
+DATA = Path(__file__).parent / "data"
+CASES = json.loads((DATA / "golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", CASES, ids=[f"{c['file']}:{' '.join(c['args'])}" for c in CASES]
+)
+def test_cli_output_matches_golden(case, capsys):
+    code = run([case["args"][0], str(DATA / case["file"]), *case["args"][1:]])
+    assert capsys.readouterr().out == case["stdout"]
+    assert code == case["exit"]

@@ -2,7 +2,7 @@ import pytest
 
 import tis
 from tis.model import BudgetExceeded, LimitExceeded, remove_vertices
-from tis.opvd import min_opvd, opvd_exhaustive, reduce_to_column_deletion
+from tis.opvd import min_opvd, opvd_exhaustive
 
 
 class TestFixtures:
@@ -106,11 +106,10 @@ class TestDeletionValidity:
 
 
 class TestColumnReduction:
-    def test_names_align_with_matrix(self, pooled_trap):
-        matrix, names = reduce_to_column_deletion(pooled_trap)
-        assert list(names) == ["a", "b", "c", "s"]
-        assert matrix.ncols == pooled_trap.n
-
     def test_check_rejects_insufficient_set(self, two_layer_path):
-        assert not tis.column_deletion_check(two_layer_path, [])
-        assert tis.column_deletion_check(two_layer_path, ["v1"])
+        def preserving_without(names):
+            reduced = remove_vertices(two_layer_path, names)
+            return tis.recognize_order_preserving(reduced).is_order_preserving
+
+        assert not preserving_without([])
+        assert preserving_without(["v1"])

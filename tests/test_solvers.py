@@ -5,7 +5,7 @@ import pytest
 import oracles
 import tis
 from tis.conflict import WindowSemantics, conflict_graph
-from tis.model import LimitExceeded
+from tis.model import InternalError, LimitExceeded
 from tis.solvers import (
     _max_independent_cardinality,
     solve_exact_bruteforce,
@@ -75,6 +75,16 @@ class TestGreedy:
     def test_deterministic(self, weighted_corpus):
         inst = weighted_corpus[0]
         assert solve_greedy(inst).selected == solve_greedy(inst).selected
+
+    def test_failed_self_check_is_internal_error(self, weighted_corpus, monkeypatch):
+        # the check must survive python -O, so it cannot be an assert
+        monkeypatch.setattr(
+            tis.solvers,
+            "delta_independence_check",
+            lambda *args: tis.IndependenceReport(False, violation=(0, 1, 1)),
+        )
+        with pytest.raises(InternalError):
+            solve_greedy(weighted_corpus[0])
 
 
 class TestExactOp:
