@@ -11,9 +11,12 @@ greedy guarantee (tau - delta + 1) * 2^delta and is only filled on greedy
 rows of unit instances; bound_holds checks objective * ratio_bound >=
 oracle_objective whenever both sides are known. verified is the
 independence verdict of verify_solution on the row's set, not the solver's
-own certificate. Unreadable files produce a single row with verified=ERROR
-and the run continues. Rows are sorted by (instance, algorithm) before
-writing, so the CSV is deterministic up to the runtime_ms column.
+own certificate. runtime_ms is end to end per algorithm, as
+`solvers.solve` runs it: the op time includes recognition and the fpt time
+includes min_opvd. An unreadable file, or an input the algorithms refuse,
+produces a single row with verified=ERROR and the run continues; an
+internal error stops the run. Rows are sorted by (instance, algorithm)
+before writing, so the CSV is deterministic up to the runtime_ms column.
 """
 
 from __future__ import annotations
@@ -22,25 +25,11 @@ import csv
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .conflict import WindowSemantics
-from .model import (
-    BudgetExceeded,
-    LimitExceeded,
-    Solution,
-    TemporalIntervalInstance,
-    parse_instance,
-)
-from .opvd import min_opvd
-from .order import recognize_order_preserving
-from .solvers import (
-    solve_exact_bruteforce,
-    solve_exact_op,
-    solve_fpt,
-    solve_greedy,
-    verify_solution,
-)
+from .model import Solution, TemporalIntervalInstance, parse_instance
+from .solvers import solve, verify_solution
 
 COLUMNS = [
     "instance",
@@ -63,12 +52,6 @@ def _greedy_ratio(inst: TemporalIntervalInstance) -> Optional[int]:
     if not inst.unit_flag:
         return None
     return (inst.tau - inst.delta + 1) * 2**inst.delta
-
-
-def _timed(runner: Callable[[], Solution]) -> tuple[Solution, float]:
-    t0 = time.perf_counter()
-    sol = runner()
-    return sol, (time.perf_counter() - t0) * 1000.0
 
 
 def _row(
@@ -123,12 +106,12 @@ def run_bench(
         name = path.name
         try:
             inst = parse_instance(path.read_text())
-        except Exception as exc:  # noqa: BLE001  (ERROR row, keep going)
+        except (OSError, ValueError) as exc:
             rows.append(_error_row(name, str(exc)))
             continue
         try:
             rows.extend(_instance_rows(inst, name, semantics, oracle_limit))
-        except Exception as exc:  # noqa: BLE001
+        except ValueError as exc:  # an input the algorithms refuse
             rows.append(_error_row(name, str(exc)))
     rows.sort(key=lambda r: (r["instance"], r["algorithm"]))
     out = Path(csv_out)
@@ -147,21 +130,16 @@ def _instance_rows(
 ) -> list[dict[str, str]]:
     """One row per algorithm that applies; the timed exact run doubles as
     the oracle for every row."""
-    runs: dict[str, tuple[Solution, float]] = {}
-    if inst.n <= oracle_limit:
-        runs["exact"] = _timed(
-            lambda: solve_exact_bruteforce(inst, semantics, limit=oracle_limit)
-        )
-    runs["greedy"] = _timed(lambda: solve_greedy(inst, semantics))
+    algorithms = ["exact"] if inst.n <= oracle_limit else []
+    algorithms.append("greedy")
     if inst.unit_flag:
-        rep = recognize_order_preserving(inst)
-        if rep.is_order_preserving and rep.ordering is not None:
-            runs["op"] = _timed(lambda: solve_exact_op(inst, rep.ordering, semantics))
-        try:
-            deletion = min_opvd(inst).deletion_set
-            runs["fpt"] = _timed(lambda: solve_fpt(inst, deletion, semantics))
-        except (BudgetExceeded, LimitExceeded):
-            pass
+        algorithms += ["op", "fpt"]
+    runs: dict[str, tuple[Solution, float]] = {}
+    for algorithm in algorithms:
+        t0 = time.perf_counter()
+        sol = solve(inst, algorithm, semantics, limit=oracle_limit)
+        if sol is not None:
+            runs[algorithm] = (sol, (time.perf_counter() - t0) * 1000.0)
     oracle = runs["exact"][0].objective if "exact" in runs else None
     return [
         _row(inst, name, algorithm, sol, elapsed_ms, oracle, semantics)

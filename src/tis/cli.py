@@ -43,8 +43,11 @@ from .model import (
 )
 from .opvd import EXHAUSTIVE_DEFAULT_LIMIT, min_opvd, opvd_exhaustive
 from .order import recognize_order_preserving
-from .solvers import (
+
+# The solve_* names are unused here; benchmark/tracing.py wraps their tis.cli bindings.
+from .solvers import (  # noqa: F401
     BRUTEFORCE_DEFAULT_LIMIT,
+    solve,
     solve_exact_bruteforce,
     solve_exact_op,
     solve_fpt,
@@ -173,25 +176,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     limit = (
         args.limit_oracle if args.limit_oracle is not None else BRUTEFORCE_DEFAULT_LIMIT
     )
-    if args.alg == "exact":
-        sol = solve_exact_bruteforce(inst, sem, limit=limit)
-    elif args.alg == "greedy":
-        sol = solve_greedy(inst, sem)
-    elif args.alg == "op":
-        rep = recognize_order_preserving(inst)
-        if not rep.is_order_preserving:
-            print("NOT-ORDER-PRESERVING")
-            return 1
-        assert rep.ordering is not None
-        sol = solve_exact_op(inst, rep.ordering, sem)
-    else:
+    deletion = None
+    if args.alg == "fpt":
         if args.opvd_set is not None:
             deletion = _parse_vertex_list(inst, args.opvd_set)
-        elif args.opvd == "auto":
-            deletion = min_opvd(inst).deletion_set
-        else:
+        elif args.opvd != "auto":
             raise InstanceError("--alg fpt needs --opvd-set or --opvd auto")
-        sol = solve_fpt(inst, deletion, sem)
+    sol = solve(inst, args.alg, sem, limit=limit, deletion_set=deletion)
+    if sol is None:
+        print("NOT-ORDER-PRESERVING")
+        return 1
     report = verify_solution(inst, sol.selected, sem)
     decision = report.cardinality >= inst.k
     print(f"algorithm={sol.algorithm}")
@@ -228,11 +222,13 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     inst = _load(args.file)
     rep = recognize_order_preserving(inst)
     if rep.is_order_preserving:
-        assert rep.ordering is not None
+        if rep.ordering is None:
+            raise InternalError("order-preserving report carries no ordering")
         order = ",".join(inst.names[v] for v in rep.ordering.order)
         print(f"ORDER-PRESERVING {order}")
         return 0
-    assert rep.witness is not None
+    if rep.witness is None:
+        raise InternalError("negative recognition carries no witness")
     print(f"NOT-ORDER-PRESERVING witness={_names(inst, rep.witness)}")
     return 1
 

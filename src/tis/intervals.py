@@ -21,9 +21,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
-
-import networkx as nx
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .model import (
     InternalError,
@@ -266,7 +264,8 @@ def maximal_cliques(model: IntervalModel) -> list[frozenset[int]]:
         for K in cands
         if not any(K < other for other in cands)
     ]
-    assert len(out) <= n
+    if len(out) > n:
+        raise InternalError(f"{len(out)} maximal cliques on {n} intervals")
     return out
 
 
@@ -281,12 +280,9 @@ def maximal_cliques_abstract(g: StaticGraph) -> list[frozenset[int]]:
     n = g.n
     if n == 0:
         return []
-    G = nx.Graph()
-    G.add_nodes_from(range(n))
-    G.add_edges_from(sorted(g.edges))
     cliques: list[frozenset[int]] = []
-    for cl in nx.find_cliques(G):
-        cliques.append(frozenset(cl))
+    for cl in _bron_kerbosch(n, g.edges):
+        cliques.append(cl)
         if len(cliques) > n:
             raise NotIntervalError(
                 f"more than {n} maximal cliques: not an interval graph"
@@ -298,6 +294,46 @@ def maximal_cliques_abstract(g: StaticGraph) -> list[frozenset[int]]:
     if not res.is_c1p:
         raise NotIntervalError("maximal cliques admit no consecutive arrangement")
     return [cliques[i] for i in res.ordering]
+
+
+def _bron_kerbosch(
+    n: int, edges: Iterable[tuple[int, int]]
+) -> Iterator[frozenset[int]]:
+    """Maximal cliques of the graph on 0..n-1 (n >= 1), lazily: Bron-Kerbosch
+    with Tomita pivoting, on an explicit stack because cliques can be
+    thousands of vertices deep.
+
+    The set operations and their order are those of networkx's find_cliques,
+    so the cliques come out in the same sequence; the clique arrangement,
+    and with it printed orderings and error messages, depends on it."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in sorted(edges):
+        adj[u].add(v)
+        adj[v].add(u)
+    clique: list[int] = []
+    stack: list[tuple[set[int], set[int], set[int]]] = []
+    cand = set(range(n))
+    subg = cand.copy()
+    ext = cand - adj[max(subg, key=lambda u: len(cand & adj[u]))]
+    while True:
+        if ext:
+            q = ext.pop()
+            cand.remove(q)
+            subg_q = subg & adj[q]
+            if not subg_q:
+                yield frozenset(clique + [q])
+                continue
+            cand_q = cand & adj[q]
+            if cand_q:
+                stack.append((subg, cand, ext))
+                clique.append(q)
+                subg, cand = subg_q, cand_q
+                ext = cand - adj[max(subg, key=lambda u: len(cand & adj[u]))]
+        elif stack:
+            clique.pop()
+            subg, cand, ext = stack.pop()
+        else:
+            return
 
 
 # -- agreement with an ordering and normalization ----------------------------
@@ -414,7 +450,8 @@ def recognize_unit_interval(g: StaticGraph) -> UnitIntervalResult:
     if not g.edges:
         model = IntervalModel((Fraction(2 * v), Fraction(2 * v + 1)) for v in range(n))
         return UnitIntervalResult(model, sigma, None)
-    assert ordering_agrees(g, sigma) is None
+    if ordering_agrees(g, sigma) is not None:
+        raise InternalError("umbrella ordering does not agree with the graph")
     lefts = _unit_lefts(g, sigma)
     intervals: list[tuple[Fraction, Fraction]] = [None] * n  # type: ignore
     for j, v in enumerate(sigma.order):

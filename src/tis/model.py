@@ -85,14 +85,6 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
-@dataclass(frozen=True)
-class VertexId:
-    """A vertex: unique whitespace-free name plus its dense 0-based index."""
-
-    name: str
-    index: int
-
-
 class StaticGraph:
     """An undirected graph on vertices 0..n-1: one layer, or a conflict graph.
 
@@ -342,9 +334,6 @@ class TemporalIntervalInstance:
     def n(self) -> int:
         return len(self.names)
 
-    def vertices(self) -> list[VertexId]:
-        return [VertexId(name, i) for i, name in enumerate(self.names)]
-
     def vertex_index(self, ref: VertexRef) -> int:
         if isinstance(ref, int):
             if not 0 <= ref < self.n:
@@ -364,7 +353,8 @@ class TemporalIntervalInstance:
         if not 1 <= t <= self.tau:
             raise InstanceError(f"layer index {t} out of [1, {self.tau}]")
         layer = self.layers[t - 1]
-        assert isinstance(layer, IntervalModel)
+        if not isinstance(layer, IntervalModel):
+            raise InternalError(f"model-mode layer {t} holds no interval model")
         return layer
 
     def layer_graph(self, t: int) -> StaticGraph:

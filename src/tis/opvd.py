@@ -71,7 +71,8 @@ class _RecognitionCache:
 
     def result_for(self, dels: frozenset[int]) -> OpvdResult:
         rep = self.report(dels)
-        assert rep.is_order_preserving and rep.ordering is not None
+        if rep.ordering is None:
+            raise InternalError("result requested for a non-order-preserving set")
         keep = [v for v in range(self.inst.n) if v not in dels]
         return OpvdResult(
             deletion_set=dels,
@@ -165,10 +166,11 @@ def opvd_exhaustive(
             rep = recognize_order_preserving(remove_vertices(inst, dels))
             if rep.is_order_preserving:
                 keep = [v for v in range(inst.n) if v not in dels]
-                assert rep.ordering is not None
+                if rep.ordering is None:
+                    raise InternalError("order-preserving report carries no ordering")
                 return OpvdResult(
                     deletion_set=dels,
                     size=d,
                     ordering=tuple(keep[i] for i in rep.ordering.order),
                 )
-    raise AssertionError("unreachable: the empty instance is order preserving")
+    raise InternalError("unreachable: the empty instance is order preserving")

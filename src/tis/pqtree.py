@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from .model import InternalError
+
 EMPTY, FULL, PARTIAL = 0, 1, 2
 _FAIL = -1
 
@@ -272,7 +274,8 @@ def c1p_order(rows: Iterable[Iterable[int]], ncols: int) -> Optional[list[int]]:
         if not tree.reduce(row):
             return None
     order = tree.frontier()
-    assert sorted(order) == list(range(ncols))
+    if sorted(order) != list(range(ncols)):
+        raise InternalError("PQ-tree frontier is not a permutation of the columns")
     return order
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from . import opvd
 from .conflict import (
     IndependenceReport,
     WindowSemantics,
@@ -174,7 +175,8 @@ def solve_fpt(
             "deletion set does not leave an order-preserving instance"
         )
     keep = [v for v in range(inst.n) if v not in s_set]
-    assert rep.ordering is not None
+    if rep.ordering is None:
+        raise InternalError("order-preserving report carries no ordering")
     orig_order = [keep[i] for i in rep.ordering.order]
 
     g = conflict_graph(inst, semantics)
@@ -209,8 +211,38 @@ def solve_fpt(
         if total > best_total:
             best_total = total
             best_selected = selected
-    assert best_selected is not None
+    if best_selected is None:
+        raise InternalError("fpt tried no subset of the deletion set")
     return _certified(inst, best_selected, best_total, "fpt", semantics)
+
+
+def solve(
+    inst: TemporalIntervalInstance,
+    alg: str,
+    semantics: WindowSemantics = WindowSemantics.FIGURE,
+    limit: int = BRUTEFORCE_DEFAULT_LIMIT,
+    deletion_set: Optional[Iterable] = None,
+) -> Optional[Solution]:
+    """Run one algorithm end to end: "exact" (bruteforce, capped at
+    `limit` vertices), "greedy", "op" (recognition, then the sweep; None when
+    the instance is not order preserving) or "fpt" (min_opvd when no
+    `deletion_set` is given, then solve_fpt)."""
+    if alg == "exact":
+        return solve_exact_bruteforce(inst, semantics, limit=limit)
+    if alg == "greedy":
+        return solve_greedy(inst, semantics)
+    if alg == "op":
+        rep = recognize_order_preserving(inst)
+        if not rep.is_order_preserving:
+            return None
+        if rep.ordering is None:
+            raise InternalError("order-preserving report carries no ordering")
+        return solve_exact_op(inst, rep.ordering, semantics)
+    if alg == "fpt":
+        if deletion_set is None:
+            deletion_set = opvd.min_opvd(inst).deletion_set
+        return solve_fpt(inst, deletion_set, semantics)
+    raise ValueError(f"unknown algorithm {alg!r}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import csv
 import io
+import shutil
 
 import tis.cli
+import tis.solvers
 from tis.model import InternalError
 
 DATA = "tests/data"
@@ -135,7 +137,7 @@ class TestSolve:
         def broken(*args, **kwargs):
             raise InternalError("planted failure")
 
-        monkeypatch.setattr(tis.cli, "solve_greedy", broken)
+        monkeypatch.setattr(tis.solvers, "solve_greedy", broken)
         code = tis.cli.run(["solve", f"{DATA}/single.tis", "--alg", "greedy"])
         out, err = capsys.readouterr()
         assert code == 4
@@ -223,6 +225,18 @@ class TestBench:
             row["instance"] == "ok.tis" and row["verified"] == "PASS"
             for row in rows
         )
+
+    def test_internal_error_stops_the_run(self, monkeypatch, capsys, tmp_path):
+        def broken(*args, **kwargs):
+            raise InternalError("planted failure")
+
+        d = tmp_path / "corpus"
+        d.mkdir()
+        shutil.copy(f"{DATA}/single.tis", d)
+        monkeypatch.setattr(tis.solvers, "solve_greedy", broken)
+        code = tis.cli.run(["bench", str(d), str(tmp_path / "b.csv")])
+        assert code == 4
+        assert "planted failure" in capsys.readouterr().err
 
     def test_no_timing_on_stdout(self, run_cli, tmp_path):
         d = tmp_path / "corpus"

@@ -12,6 +12,7 @@ from tis.intervals import (
     NotIntervalError,
     OrderingIncompatible,
     REOrdering,
+    _bron_kerbosch,
     c1p_test,
     intersect_models,
     maximal_cliques,
@@ -136,6 +137,26 @@ class TestMaximalCliques:
         g = StaticGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         with pytest.raises(NotIntervalError):
             maximal_cliques_abstract(g)
+
+    def test_abstract_enumeration_matches_networkx(self):
+        # The clique arrangement, and through it printed orderings, depends
+        # on the enumeration order, which networkx's find_cliques fixed.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2024)
+        for i in range(2400):
+            n = rng.randint(1, 14)
+            if i % 2:
+                edges = random_model(rng, n).induced_graph().edges
+            else:
+                p = rng.random()
+                edges = {
+                    (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+                }
+            g = nx.Graph()
+            g.add_nodes_from(range(n))
+            g.add_edges_from(sorted(edges))
+            want = [frozenset(c) for c in nx.find_cliques(g)]
+            assert list(_bron_kerbosch(n, edges)) == want
 
     def test_abstract_matches_model_cliques(self):
         rng = random.Random(88)
