@@ -11,12 +11,14 @@ greedy guarantee (tau - delta + 1) * 2^delta and is only filled on greedy
 rows of unit instances; bound_holds checks objective * ratio_bound >=
 oracle_objective whenever both sides are known. verified is the
 independence verdict of verify_solution on the row's set, not the solver's
-own certificate. runtime_ms is end to end per algorithm, as
-`solvers.solve` runs it: the op time includes recognition and the fpt time
-includes min_opvd. An unreadable file, or an input the algorithms refuse,
-produces a single row with verified=ERROR and the run continues; an
-internal error stops the run. Rows are sorted by (instance, algorithm)
-before writing, so the CSV is deterministic up to the runtime_ms column.
+own certificate. The op and fpt answers are exact, so when the exact run
+exists an objective that differs from it is an internal error. runtime_ms
+is end to end per algorithm, as `solvers.solve` runs it: the op time
+includes recognition and the fpt time includes min_opvd. An unreadable
+file, or an input the algorithms refuse, produces a single row with
+verified=ERROR and the run continues; an internal error stops the run.
+Rows are sorted by (instance, algorithm) before writing, so the CSV is
+deterministic up to the runtime_ms column.
 """
 
 from __future__ import annotations
@@ -28,7 +30,12 @@ from pathlib import Path
 from typing import Optional
 
 from .conflict import WindowSemantics
-from .model import Solution, TemporalIntervalInstance, parse_instance
+from .model import (
+    InternalError,
+    Solution,
+    TemporalIntervalInstance,
+    parse_instance,
+)
 from .solvers import solve, verify_solution
 
 COLUMNS = [
@@ -129,7 +136,7 @@ def _instance_rows(
     oracle_limit: int,
 ) -> list[dict[str, str]]:
     """One row per algorithm that applies; the timed exact run doubles as
-    the oracle for every row."""
+    the oracle for every row and must agree with op and fpt."""
     algorithms = ["exact"] if inst.n <= oracle_limit else []
     algorithms.append("greedy")
     if inst.unit_flag:
@@ -141,6 +148,14 @@ def _instance_rows(
         if sol is not None:
             runs[algorithm] = (sol, (time.perf_counter() - t0) * 1000.0)
     oracle = runs["exact"][0].objective if "exact" in runs else None
+    for algorithm in ("op", "fpt"):
+        if oracle is not None and algorithm in runs:
+            objective = runs[algorithm][0].objective
+            if objective != oracle:
+                raise InternalError(
+                    f"{name}: {algorithm} objective {objective} differs from "
+                    f"the exact optimum {oracle}"
+                )
     return [
         _row(inst, name, algorithm, sol, elapsed_ms, oracle, semantics)
         for algorithm, (sol, elapsed_ms) in runs.items()

@@ -107,7 +107,8 @@ class CliqueMatrix:
 @dataclass(frozen=True)
 class C1PResult:
     """Either a column ordering making every row consecutive, or an
-    inclusion-minimal column subset whose submatrix has no such ordering."""
+    inclusion-minimal column subset whose submatrix has no such ordering
+    (None when the test ran without a witness)."""
 
     ordering: tuple[int, ...] | None
     witness: tuple[int, ...] | None
@@ -128,21 +129,31 @@ def _as_rows(m: MatrixLike, ncols: int | None) -> tuple[list[frozenset[int]], in
     return [frozenset(row) for row in m], ncols
 
 
-def c1p_test(m: MatrixLike, ncols: int | None = None) -> C1PResult:
+def c1p_test(
+    m: MatrixLike, ncols: int | None = None, *, witness: bool = True
+) -> C1PResult:
     """Consecutive-ones test with a verified ordering or a minimal witness.
 
     The consecutive ones property is hereditary under column deletion, so
-    one shrinking pass yields an inclusion-minimal non-C1P column subset."""
+    shrink_witness yields an inclusion-minimal non-C1P column subset. With
+    `witness=False` a negative answer carries witness None and costs one
+    PQ-tree run instead of the shrink's probes; a positive answer is
+    verified either way."""
     rows, ncols = _as_rows(m, ncols)
     order = c1p_order(rows, ncols)
     if order is not None:
         if not check_consecutive(rows, order):
             raise InternalError("returned ordering failed row scan")
         return C1PResult(ordering=tuple(order), witness=None)
-    witness = shrink_witness(
-        range(ncols), lambda cols: c1p_order([r & cols for r in rows], ncols) is None
+    if not witness:
+        return C1PResult(ordering=None, witness=None)
+    return C1PResult(
+        ordering=None,
+        witness=shrink_witness(
+            range(ncols),
+            lambda cols: c1p_order([r & cols for r in rows], ncols) is None,
+        ),
     )
-    return C1PResult(ordering=None, witness=witness)
 
 
 def shrink_witness(
@@ -150,16 +161,29 @@ def shrink_witness(
 ) -> tuple[int, ...]:
     """An inclusion-minimal subset of `items` on which `fails` holds.
 
-    Requires `fails(items)` and a hereditary failure: whenever a subset
-    fails, so does every superset of it. One ascending pass then suffices:
-    drop each item whose removal keeps the subset failing.
+    Requires `fails(items)`, not `fails(∅)`, and a hereditary failure:
+    whenever a subset fails, so does every superset of it. The result is
+    the set an ascending pass returns (drop each item whose removal keeps
+    the subset failing), found by QuickXplain (Junker, AAAI 2004) over the
+    items in descending order. `explain` returns the candidates needed on
+    top of a base: none when the base alone fails, otherwise split them,
+    find the second half's needed items with the whole first half in the
+    base, then the first half's with those. A w-element witness among n
+    items costs O(w log(n/w)) probes instead of n.
     """
-    keep = frozenset(items)
-    for x in sorted(keep):
-        trial = keep - {x}
-        if fails(trial):
-            keep = trial
-    return tuple(sorted(keep))
+
+    def explain(base: frozenset[int], grew: bool, cands: list[int]) -> frozenset[int]:
+        if grew and fails(base):
+            return frozenset()
+        if len(cands) <= 1:
+            return frozenset(cands)
+        head, tail = cands[: len(cands) // 2], cands[len(cands) // 2 :]
+        need_tail = explain(base | frozenset(head), True, tail)
+        need_head = explain(base | need_tail, bool(need_tail), head)
+        return need_head | need_tail
+
+    descending = sorted(set(items), reverse=True)
+    return tuple(sorted(explain(frozenset(), False, descending)))
 
 
 def lex_min_optimum(
@@ -241,31 +265,38 @@ def _mwis_value(
 def maximal_cliques(model: IntervalModel) -> list[frozenset[int]]:
     """Maximal cliques of the model's graph, ordered by sweep position.
 
-    Every maximal clique of an interval graph shows up as the set of
-    intervals covering some right endpoint (the smallest right endpoint in
-    the clique), so scanning distinct right endpoints and filtering
-    non-maximal candidates is exact. At most n cliques exist.
+    Every maximal clique of an interval graph shows up as the set K_p of
+    intervals covering some right endpoint p (the smallest right endpoint in
+    the clique). The sweep walks the distinct right endpoints in ascending
+    order, keeping the covering set as intervals enter (left <= p) and
+    leave (right < p), and emits K_p exactly when some interval entered
+    since the previous point. Such a K_p holds an interval that no earlier
+    point covers and one that ends at p, so it is no subset of any other
+    K_q: no duplicate and no non-maximal set is emitted. When nothing
+    entered, K_p is a proper subset of the previous point's set. So the
+    emitted sets are the maximal cliques, each charged to a distinct
+    interval, in O(n log n) comparisons plus the output size.
     """
-    n = model.n
-    if n == 0:
-        return []
-    points = sorted({model.right(v) for v in range(n)})
-    cands: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for p in points:
-        K = frozenset(
-            v for v in range(n) if model.left(v) <= p <= model.right(v)
-        )
-        if K and K not in seen:
-            seen.add(K)
-            cands.append(K)
-    out = [
-        K
-        for K in cands
-        if not any(K < other for other in cands)
-    ]
-    if len(out) > n:
-        raise InternalError(f"{len(out)} maximal cliques on {n} intervals")
+    ivs = model.intervals
+    n = len(ivs)
+    by_left = sorted(range(n), key=lambda v: ivs[v][0])
+    by_right = sorted(range(n), key=lambda v: ivs[v][1])
+    out: list[frozenset[int]] = []
+    active: set[int] = set()
+    entering = leaving = 0
+    for i, v in enumerate(by_right):
+        p = ivs[v][1]
+        if i and ivs[by_right[i - 1]][1] == p:
+            continue  # one candidate per distinct right endpoint
+        while leaving < i:  # by_right[:i] are the intervals ending before p
+            active.remove(by_right[leaving])
+            leaving += 1
+        start = entering
+        while entering < n and ivs[by_left[entering]][0] <= p:
+            active.add(by_left[entering])
+            entering += 1
+        if entering > start:
+            out.append(frozenset(active))
     return out
 
 
@@ -290,7 +321,7 @@ def maximal_cliques_abstract(g: StaticGraph) -> list[frozenset[int]]:
     rows = [
         frozenset(i for i, cl in enumerate(cliques) if v in cl) for v in range(n)
     ]
-    res = c1p_test(rows, ncols=len(cliques))
+    res = c1p_test(rows, ncols=len(cliques), witness=False)
     if not res.is_c1p:
         raise NotIntervalError("maximal cliques admit no consecutive arrangement")
     return [cliques[i] for i in res.ordering]

@@ -207,13 +207,23 @@ class IntervalModel:
         return max(lu, lv) <= min(ru, rv)
 
     def induced_graph(self) -> StaticGraph:
-        n = self.n
-        edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if self.intersects(u, v)
-        ]
+        """Sweep by left endpoint: an interval meets a later-starting one
+        exactly when that one starts by its right endpoint, so each walk
+        stops at the first start beyond it. O(n log n + m) comparisons.
+        The pairs are handed over sorted, so the graph's sets are built
+        in the same order as by a pairwise scan."""
+        ivs = self.intervals
+        n = len(ivs)
+        by_left = sorted(range(n), key=lambda v: ivs[v][0])
+        edges = []
+        for i, u in enumerate(by_left):
+            right = ivs[u][1]
+            for k in range(i + 1, n):
+                v = by_left[k]
+                if ivs[v][0] > right:
+                    break
+                edges.append((u, v) if u < v else (v, u))
+        edges.sort()
         return StaticGraph(n, edges)
 
     def restrict(self, keep: Sequence[int]) -> "IntervalModel":

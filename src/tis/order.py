@@ -43,7 +43,7 @@ class OrderPreservationReport:
     order preserving; otherwise `witness` is an inclusion-minimal vertex set
     whose pooled clique-matrix columns are non-C1P (a certificate that no
     common ordering exists, though not in general a set meeting every
-    minimum deletion set)."""
+    minimum deletion set), or None when recognition ran without one."""
 
     is_order_preserving: bool
     ordering: Optional[REOrdering] = None
@@ -72,19 +72,22 @@ def pooled_clique_matrix(inst: TemporalIntervalInstance) -> CliqueMatrix:
 
 
 def recognize_order_preserving(
-    inst: TemporalIntervalInstance,
+    inst: TemporalIntervalInstance, *, witness: bool = True
 ) -> OrderPreservationReport:
     """Recognize order preservation of a unit instance via the pooled
     clique matrix.
 
     On success the returned ordering is re-verified constructively: every
     layer must normalize to it (an internal error otherwise, since a
-    contiguous clique arrangement always agrees). Non-unit instances are
-    refused; recognition of non-unit temporal interval graphs is not offered.
+    contiguous clique arrangement always agrees). A negative answer carries
+    the minimal column witness, or None with `witness=False`, which skips
+    the shrink: callers that only need the decision pass it. Non-unit
+    instances are refused; recognition of non-unit temporal interval graphs
+    is not offered.
     """
     ensure_unit(inst)
     matrix = pooled_clique_matrix(inst)
-    res = c1p_test(matrix)
+    res = c1p_test(matrix, witness=witness)
     if not res.is_c1p:
         return OrderPreservationReport(False, None, res.witness)
     ordering = REOrdering(res.ordering)

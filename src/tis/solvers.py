@@ -169,7 +169,7 @@ def solve_fpt(
     """
     s_set = inst.vertex_set(deletion_set)
     reduced = remove_vertices(inst, s_set)
-    rep = recognize_order_preserving(reduced)
+    rep = recognize_order_preserving(reduced, witness=False)
     if not rep.is_order_preserving:
         raise ValueError(
             "deletion set does not leave an order-preserving instance"
@@ -232,7 +232,7 @@ def solve(
     if alg == "greedy":
         return solve_greedy(inst, semantics)
     if alg == "op":
-        rep = recognize_order_preserving(inst)
+        rep = recognize_order_preserving(inst, witness=False)
         if not rep.is_order_preserving:
             return None
         if rep.ordering is None:

@@ -253,3 +253,27 @@ def model_edge_set(intervals) -> set[tuple[int, int]]:
             ):
                 out.add((u, v))
     return out
+
+
+def maximal_cliques_by_points(intervals) -> list[frozenset[int]]:
+    """Maximal cliques of a model in sweep order: for each distinct right
+    endpoint, ascending, the set of intervals covering it; duplicates are
+    dropped (first kept) and so is every set strictly inside another."""
+    n = len(intervals)
+    cands: list[frozenset[int]] = []
+    for p in sorted({intervals[v][1] for v in range(n)}):
+        covering = frozenset(
+            v for v in range(n) if intervals[v][0] <= p <= intervals[v][1]
+        )
+        if covering not in cands:
+            cands.append(covering)
+    return [c for c in cands if not any(c < other for other in cands)]
+
+
+def ascending_shrink(items, fails) -> tuple[int, ...]:
+    """Drop each item, smallest first, whenever the rest still fails."""
+    keep = set(items)
+    for x in sorted(keep):
+        if fails(frozenset(keep - {x})):
+            keep.discard(x)
+    return tuple(sorted(keep))

@@ -1,10 +1,13 @@
 import csv
 import io
 import shutil
+from fractions import Fraction
 
+import tis
+import tis.bench
 import tis.cli
 import tis.solvers
-from tis.model import InternalError
+from tis.model import InternalError, Solution
 
 DATA = "tests/data"
 
@@ -237,6 +240,27 @@ class TestBench:
         code = tis.cli.run(["bench", str(d), str(tmp_path / "b.csv")])
         assert code == 4
         assert "planted failure" in capsys.readouterr().err
+
+    def test_suboptimal_op_answer_stops_the_run(self, monkeypatch, capsys, tmp_path):
+        solve = tis.bench.solve
+
+        def suboptimal_op(inst, alg, *args, **kwargs):
+            sol = solve(inst, alg, *args, **kwargs)
+            if alg != "op" or sol is None:
+                return sol
+            # independent (empty) but below the optimum
+            return Solution(frozenset(), Fraction(0), sol.algorithm)
+
+        d = tmp_path / "corpus"
+        d.mkdir()
+        inst = tis.gen_order_preserving(12, 3, 1, 0, seed=5)
+        (d / "op.tis").write_text(tis.serialize_instance(inst))
+        assert tis.cli.run(["bench", str(d), str(tmp_path / "a.csv")]) == 0
+        monkeypatch.setattr(tis.bench, "solve", suboptimal_op)
+        code = tis.cli.run(["bench", str(d), str(tmp_path / "b.csv")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "op objective 0 differs from the exact optimum" in err
 
     def test_no_timing_on_stdout(self, run_cli, tmp_path):
         d = tmp_path / "corpus"

@@ -22,6 +22,7 @@ from tis.intervals import (
     normalized_model_for,
     ordering_agrees,
     recognize_unit_interval,
+    shrink_witness,
     union_models,
 )
 from tis.model import IntervalModel, StaticGraph
@@ -166,6 +167,59 @@ class TestMaximalCliques:
             want = {frozenset(c) for c in maximal_cliques(m)}
             got = {frozenset(c) for c in maximal_cliques_abstract(m.induced_graph())}
             assert got == want
+
+
+models = st.builds(
+    lambda seed, n, denom, span: random_model(random.Random(seed), n, denom, span),
+    st.integers(0, 10**6),
+    st.integers(0, 14),
+    st.sampled_from([1, 2, 4]),
+    st.integers(1, 8),
+)
+
+
+class TestSweepKernels:
+    """The sweeps against the pairwise definitions, on models with mixed
+    lengths, shared and touching endpoints."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=models)
+    def test_induced_graph_matches_pairwise_scan(self, m):
+        assert set(m.induced_graph().edges) == oracles.model_edge_set(m.intervals)
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=models)
+    def test_maximal_cliques_match_point_scan_in_order(self, m):
+        assert maximal_cliques(m) == oracles.maximal_cliques_by_points(m.intervals)
+
+
+class TestShrinkWitness:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        gens=st.lists(
+            st.sets(st.integers(0, 15), min_size=1, max_size=4), min_size=1, max_size=4
+        ),
+    )
+    def test_matches_ascending_pass(self, n, gens):
+        # a monotone predicate: the up-closure of a few nonempty sets
+        gens = [frozenset(g) for g in gens if max(g) < n] or [frozenset({n - 1})]
+
+        def fails(s):
+            return any(g <= s for g in gens)
+
+        want = oracles.ascending_shrink(range(n), fails)
+        assert shrink_witness(range(n), fails) == want
+
+    def test_one_element_witness_needs_few_probes(self):
+        probes = []
+
+        def fails(s):
+            probes.append(s)
+            return 37 in s
+
+        assert shrink_witness(range(64), fails) == (37,)
+        assert len(probes) < 20
 
 
 class TestC1P:

@@ -1,8 +1,14 @@
+from pathlib import Path
+
 import pytest
 
 import tis
+import tis.intervals
+import tis.opvd
 from tis.model import BudgetExceeded, LimitExceeded, remove_vertices
 from tis.opvd import min_opvd, opvd_exhaustive
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestFixtures:
@@ -113,3 +119,49 @@ class TestColumnReduction:
 
         assert not preserving_without([])
         assert preserving_without(["v1"])
+
+
+class TestWitnessFreeRecognition:
+    """min_opvd reads only the decision of each recognition, so a
+    recognition costs one PQ-tree run and builds no column witness."""
+
+    @pytest.mark.parametrize("name", ["pooled_trap.tis", "planted_n20.tis"])
+    def test_one_c1p_order_call_per_cache_miss(self, name, monkeypatch):
+        inst = tis.parse_instance((DATA / name).read_text())
+        calls = {"recognize": 0, "c1p_order": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            tis.opvd,
+            "recognize_order_preserving",
+            counted("recognize", tis.opvd.recognize_order_preserving),
+        )
+        monkeypatch.setattr(
+            tis.intervals, "c1p_order", counted("c1p_order", tis.intervals.c1p_order)
+        )
+        res = min_opvd(inst)
+        assert res.size >= 1
+        assert calls["recognize"] > 1
+        assert calls["c1p_order"] == calls["recognize"]
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in DATA.glob("*.tis")), ids=str
+    )
+    def test_decision_matches_default(self, name):
+        inst = tis.parse_instance((DATA / name).read_text())
+        try:
+            full = tis.recognize_order_preserving(inst)
+        except tis.NotUnitError:
+            with pytest.raises(tis.NotUnitError):
+                tis.recognize_order_preserving(inst, witness=False)
+            return
+        bare = tis.recognize_order_preserving(inst, witness=False)
+        assert bare.is_order_preserving == full.is_order_preserving
+        assert bare.ordering == full.ordering
+        assert bare.witness is None
