@@ -379,11 +379,17 @@ def ordering_agrees(
     if ordering.n != g.n:
         raise ValueError("ordering size does not match graph")
     order = ordering.order
-    for j in range(g.n):
-        w = order[j]
-        below = [i for i in range(j) if g.has_edge(order[i], w)]
-        if below and below != list(range(below[0], j)):
-            return (order[below[0]], w)
+    pos = [0] * g.n
+    for j, v in enumerate(order):
+        pos[v] = j
+    # The earlier neighbours of w fill positions lo..j-1 iff there are j - lo
+    # of them, lo being the smallest: O(n + m) over all positions.
+    for j, w in enumerate(order):
+        below = [p for p in map(pos.__getitem__, g.neighbors(w)) if p < j]
+        if below:
+            lo = min(below)
+            if len(below) != j - lo:
+                return (order[lo], w)
     return None
 
 

@@ -10,7 +10,9 @@ This is the classic template scheme (leaf / P / Q templates, with the P and Q
 cases split by position relative to the pertinent root). Each reduction walks
 the pertinent subtree bottom-up; no bubble pass is needed because pertinent
 leaf counts are recomputed per reduction, which is fine at the matrix sizes
-this package works with.
+this package works with. Every walk runs on an explicit stack or a
+breadth-first list, never by recursion: nested rows make the tree as deep as
+the matrix is wide.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ _FAIL = -1
 
 
 class _Node:
-    __slots__ = ("kind", "children", "col")
+    __slots__ = ("kind", "children", "col", "count")
 
     def __init__(self, kind: str, children: list["_Node"] | None = None, col: int = -1):
         self.kind = kind  # 'L' leaf, 'P', 'Q'
         self.children = children if children is not None else []
         self.col = col
+        self.count = 0  # leaves of the current reduction's row below
 
 
 def _group(nodes: list[_Node]) -> _Node:
@@ -81,52 +84,71 @@ class PQTree:
         if len(S) <= 1 or len(S) == self.ncols:
             return True
 
-        counts: dict[int, int] = {}
-        self._count(self.root, S, counts)
+        self._count(S)
 
         # Descend to the pertinent root: the deepest node whose subtree
         # contains all of S.
-        node = self.root
+        node, parent = self.root, None
         total = len(S)
         while True:
-            carrier = [c for c in node.children if counts.get(id(c), 0) == total]
+            carrier = [c for c in node.children if c.count == total]
             if len(carrier) == 1 and carrier[0].kind != "L":
-                node = carrier[0]
+                node, parent = carrier[0], node
             else:
                 break
 
-        ok = self._apply(node, S, counts, is_root=True) != _FAIL
+        ok = self._apply(node) != _FAIL
         if ok:
-            self._splice_single(self.root, None)
+            self._splice_single(node, parent)
         return ok
 
-    def _count(self, node: _Node, S: frozenset[int], counts: dict[int, int]) -> int:
-        if node.kind == "L":
-            c = 1 if node.col in S else 0
-        else:
-            c = sum(self._count(ch, S, counts) for ch in node.children)
-        counts[id(node)] = c
-        return c
+    @staticmethod
+    def _subtree(top: _Node) -> tuple[list[_Node], list[Optional[_Node]]]:
+        """The nodes of top's subtree in breadth-first order (so every node
+        comes after its parent), and the parent of each (None for top)."""
+        nodes = [top]
+        parents: list[Optional[_Node]] = [None]
+        for node in nodes:
+            if node.children:
+                nodes += node.children
+                parents += [node] * len(node.children)
+        return nodes, parents
 
-    def _apply(
-        self, node: _Node, S: frozenset[int], counts: dict[int, int], is_root: bool
-    ) -> int:
-        if node.kind == "L":
-            return FULL if node.col in S else EMPTY
-
-        labels = []
-        for ch in node.children:
-            if counts.get(id(ch), 0) == 0:
-                labels.append(EMPTY)
+    def _count(self, S: frozenset[int]) -> None:
+        """Set every node's count to the number of S-leaves below it."""
+        for node in reversed(self._subtree(self.root)[0]):
+            if node.kind == "L":
+                node.count = 1 if node.col in S else 0
             else:
-                lab = self._apply(ch, S, counts, is_root=False)
-                if lab == _FAIL:
-                    return _FAIL
-                labels.append(lab)
+                node.count = sum([ch.count for ch in node.children])
 
-        if node.kind == "P":
-            return self._apply_p(node, labels, is_root)
-        return self._apply_q(node, labels, is_root)
+    def _apply(self, top: _Node) -> int:
+        """Label the pertinent subtree under `top` bottom-up, left to right,
+        applying each node's template once its children are labelled; stop
+        at the first failure. Only `top` is the pertinent root."""
+        if top.kind == "L":
+            return FULL if top.count else EMPTY
+        stack = [(top, [], iter(top.children))]
+        while True:
+            node, labels, rest = stack[-1]
+            for ch in rest:
+                if not ch.count:
+                    labels.append(EMPTY)
+                elif ch.kind == "L":
+                    labels.append(FULL)
+                else:
+                    stack.append((ch, [], iter(ch.children)))
+                    break
+            else:
+                stack.pop()
+                is_root = not stack
+                if node.kind == "P":
+                    lab = self._apply_p(node, labels, is_root)
+                else:
+                    lab = self._apply_q(node, labels, is_root)
+                if lab == _FAIL or is_root:
+                    return lab
+                stack[-1][1].append(lab)
 
     # A PARTIAL child is always a Q node whose children run empty-side to
     # full-side, left to right. The P templates build and consume that shape.
@@ -248,20 +270,20 @@ class PQTree:
                     return None
         return out
 
-    def _splice_single(self, node: _Node, parent: Optional[_Node]) -> None:
-        """Collapse internal nodes with a single child (template bookkeeping
-        can leave them behind)."""
-        if node.kind == "L":
-            return
-        for ch in list(node.children):
-            self._splice_single(ch, node)
-        if len(node.children) == 1 and parent is not None:
+    def _splice_single(self, top: _Node, top_parent: Optional[_Node]) -> None:
+        """Collapse internal nodes with a single child, children before
+        parents. Template bookkeeping leaves them behind only in the subtree
+        of the pertinent root `top`, the only part a reduction rewrites."""
+        nodes, parents = self._subtree(top)
+        parents[0] = top_parent
+        for node, parent in zip(reversed(nodes), reversed(parents)):
+            if len(node.children) != 1:
+                continue
             only = node.children[0]
-            idx = parent.children.index(node)
-            parent.children[idx] = only
-        elif len(node.children) == 1 and parent is None:
-            only = node.children[0]
-            self.root = only
+            if parent is None:
+                self.root = only
+            else:
+                parent.children[parent.children.index(node)] = only
 
 
 def c1p_order(rows: Iterable[Iterable[int]], ncols: int) -> Optional[list[int]]:

@@ -3,7 +3,8 @@
 Four strategies, all returning Solution values whose selected sets pass
 delta_independence_check on the input instance:
 
-  solve_exact_bruteforce  branch and bound on the conflict graph; canonical
+  solve_exact_bruteforce  branch and bound on the conflict graph (int
+                          bitmasks, integer-scaled weights); canonical
                           (lexicographically smallest optimal index set)
   solve_greedy            weight-greedy with closed-neighborhood removal
   solve_exact_op          interval sweep on the conflict interval model,
@@ -20,9 +21,10 @@ canonical one: on weight ties its set can differ from the other two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import opvd
 from .conflict import (
@@ -45,44 +47,80 @@ from .order import conflict_interval_model, recognize_order_preserving
 BRUTEFORCE_DEFAULT_LIMIT = 30
 
 
-def _mwis_graph_value(
-    g: StaticGraph, weights: Sequence[Fraction], allowed: Iterable[int]
-) -> Fraction:
-    """Maximum total weight of an independent set inside `allowed`.
+def _mwis_graph_kernel(
+    g: StaticGraph, weights: Sequence[Fraction]
+) -> Callable[[Iterable[int]], Fraction]:
+    """The function `allowed -> maximum total weight of an independent set
+    of g inside allowed`, with its precomputation shared by all calls.
 
-    Branch and bound: pick the highest-degree remaining vertex, branch on
-    include/exclude, prune when even taking everything left cannot beat the
-    incumbent. Exact Fraction arithmetic throughout.
+    Adjacency is one int bitmask per vertex. Weights are scaled to ints by
+    the LCM of their denominators; scaling by a positive constant keeps
+    every sum and comparison, so the integer optimum divided by the scale is
+    the exact rational one. Branch and bound on an explicit stack: peel
+    isolated vertices for free, branch on the highest-degree remaining
+    vertex (ties: smallest index), include before exclude, and prune when
+    the current weight plus all remaining weight, carried along rather than
+    re-summed, cannot beat the incumbent.
     """
-    best = Fraction(0)
-    start = frozenset(allowed)
+    scale = math.lcm(*(w.denominator for w in weights))
+    iw = [w.numerator * (scale // w.denominator) for w in weights]
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
 
-    def rec(remaining: frozenset[int], current: Fraction) -> None:
-        nonlocal best
-        if current > best:
-            best = current
-        if not remaining:
-            return
-        if current + sum((weights[v] for v in remaining), Fraction(0)) <= best:
-            return
-        # peel isolated vertices for free before branching
-        iso = [v for v in remaining if not (g.neighbors(v) & remaining)]
-        if iso:
-            rec(
-                remaining - frozenset(iso),
-                current + sum((weights[v] for v in iso), Fraction(0)),
+    def value(allowed: Iterable[int]) -> Fraction:
+        start = rest = 0
+        for v in allowed:
+            start |= 1 << v
+            rest += iw[v]
+        best = 0
+        stack = [(start, 0, rest)]
+        while stack:
+            remaining, current, rest = stack.pop()
+            if current > best:
+                best = current
+            if not remaining or current + rest <= best:
+                continue
+            iso = iso_w = 0
+            top = top_deg = -1
+            m = remaining
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                deg = (adj[v] & remaining).bit_count()
+                if deg == 0:
+                    iso |= low
+                    iso_w += iw[v]
+                elif deg > top_deg:
+                    top, top_deg = v, deg
+            if iso:
+                current += iso_w
+                rest -= iso_w
+                remaining ^= iso
+                if current > best:
+                    best = current
+                if not remaining or current + rest <= best:
+                    continue
+            low = 1 << top
+            stack.append((remaining ^ low, current, rest - iw[top]))
+            drop = adj[top] & remaining
+            dropped = iw[top]
+            while drop:
+                bit = drop & -drop
+                drop ^= bit
+                dropped += iw[bit.bit_length() - 1]
+            stack.append(
+                (remaining & ~(adj[top] | low), current + iw[top], rest - dropped)
             )
-            return
-        v = max(remaining, key=lambda u: (len(g.neighbors(u) & remaining), -u))
-        rec(remaining - g.neighbors(v) - {v}, current + weights[v])
-        rec(remaining - {v}, current)
+        return Fraction(best, scale)
 
-    rec(start, Fraction(0))
-    return best
+    return value
 
 
 def _max_independent_cardinality(g: StaticGraph) -> int:
-    value = _mwis_graph_value(g, [Fraction(1)] * g.n, range(g.n))
+    value = _mwis_graph_kernel(g, [Fraction(1)] * g.n)(range(g.n))
     if value.denominator != 1:
         raise InternalError(f"unit-weight optimum {value} is not an integer")
     return int(value)
@@ -111,13 +149,14 @@ def solve_exact_bruteforce(
     semantics: WindowSemantics = WindowSemantics.FIGURE,
     limit: int = BRUTEFORCE_DEFAULT_LIMIT,
 ) -> Solution:
-    """Exact maximum-weight delta-independent set via the conflict graph."""
+    """Exact maximum-weight delta-independent set via the conflict graph;
+    every value call of the lex-min completion runs one shared kernel."""
     if inst.n > limit:
         raise LimitExceeded(f"bruteforce capped at n <= {limit}, got {inst.n}")
     g = conflict_graph(inst, semantics)
     selected, objective = lex_min_optimum(
         inst.weights,
-        lambda allowed: _mwis_graph_value(g, inst.weights, allowed),
+        _mwis_graph_kernel(g, inst.weights),
         lambda u, v: u not in g.neighbors(v),
     )
     return _certified(inst, selected, objective, "bruteforce", semantics)

@@ -242,6 +242,23 @@ def graph_edges(g: StaticGraph) -> set[tuple[int, int]]:
     return set(g.edges)
 
 
+def first_disagreeing_pair(
+    n: int, edges: Iterable[tuple[int, int]], order: Sequence[int]
+) -> Optional[tuple[int, int]]:
+    """The first position j (in `order`) whose earlier neighbours are not
+    the block of positions ending at j - 1, as the pair (vertex at the
+    smallest such neighbour's position, vertex at j); None if none."""
+    edge_set = {(min(u, v), max(u, v)) for u, v in edges}
+    for j in range(n):
+        w = order[j]
+        below = [
+            i for i in range(j) if (min(order[i], w), max(order[i], w)) in edge_set
+        ]
+        if below and below != list(range(below[0], j)):
+            return (order[below[0]], w)
+    return None
+
+
 def model_edge_set(intervals) -> set[tuple[int, int]]:
     """Pairwise closed-interval intersection, recomputed locally."""
     n = len(intervals)

@@ -193,6 +193,33 @@ class TestSweepKernels:
         assert maximal_cliques(m) == oracles.maximal_cliques_by_points(m.intervals)
 
 
+class TestOrderingAgrees:
+    """The linear check against the quadratic scan: same verdict and the
+    same first violating pair."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(m=models, seed=st.integers(0, 10**6), swaps=st.integers(0, 3))
+    def test_matches_scan_on_perturbed_endpoint_orders(self, m, seed, swaps):
+        rng = random.Random(seed)
+        order = sorted(range(m.n), key=lambda v: (m.intervals[v][1], v))
+        for _ in range(swaps if m.n > 1 else 0):
+            i = rng.randrange(m.n - 1)
+            order[i], order[i + 1] = order[i + 1], order[i]
+        g = m.induced_graph()
+        want = oracles.first_disagreeing_pair(m.n, g.edges, order)
+        assert ordering_agrees(g, REOrdering(tuple(order))) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 10), seed=st.integers(0, 10**6))
+    def test_matches_scan_on_arbitrary_graphs(self, n, seed):
+        rng = random.Random(seed)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        order = list(range(n))
+        rng.shuffle(order)
+        want = oracles.first_disagreeing_pair(n, edges, order)
+        assert ordering_agrees(StaticGraph(n, edges), REOrdering(tuple(order))) == want
+
+
 class TestShrinkWitness:
     @settings(max_examples=400, deadline=None)
     @given(

@@ -1,4 +1,5 @@
 import random
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,3 +86,23 @@ def test_matches_subset_dp(ncols, data):
     ]
     frozen = [frozenset(r) for r in rows]
     assert order_ok(rows, ncols) == c1p_by_subset_dp(frozen, ncols)
+
+
+def test_deeply_nested_rows_need_no_recursion():
+    # rows {0,1}, {0,1,2}, ... nest the tree one level per row; the
+    # reduction must not recurse along that depth
+    ncols = 400
+    rows = [range(i + 1) for i in range(1, ncols - 1)]
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        order = c1p_order(rows, ncols)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert order is not None
+    assert check_consecutive(rows, order)

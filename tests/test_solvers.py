@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import tis
 from tis.conflict import WindowSemantics, conflict_graph
-from tis.model import InternalError, LimitExceeded
+from tis.model import InternalError, LimitExceeded, TemporalIntervalInstance
 from tis.solvers import (
     _max_independent_cardinality,
     solve_exact_bruteforce,
@@ -46,6 +48,38 @@ class TestBruteforce:
             edges = oracles.conflict_edge_set(inst, "formula")
             best = oracles.max_weight_independent(inst.n, edges, inst.weights)
             assert sol.objective == best
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 12),
+        tau=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_rational_weights_match_enumeration(self, seed, n, tau, data):
+        # weights p/q with q up to 12, zero included: exercises the integer
+        # scaling of the branch and bound
+        base = tis.gen_random_unit(
+            n, tau, 1 + seed % tau, 0, seed=seed, spread=2 + seed % 3
+        )
+        weights = data.draw(
+            st.lists(
+                st.builds(Fraction, st.integers(0, 30), st.integers(1, 12)),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        inst = TemporalIntervalInstance(
+            base.names, weights, base.tau, base.delta, 0, base.mode,
+            base.layers, base.unit_flag,
+        )
+        sol = solve_exact_bruteforce(inst)
+        edges = oracles.conflict_edge_set(inst)
+        assert sol.objective == oracles.max_weight_independent(n, edges, weights)
+        optima = oracles.all_optimal_independent_sets(n, edges, weights)
+        assert frozenset(sol.selected) == optima[0]
+        g = conflict_graph(inst)
+        assert _max_independent_cardinality(g) == oracles.mis_cardinality(n, edges)
 
     def test_size_guard(self):
         inst = tis.gen_random_unit(8, 2, 1, 0, seed=5)
