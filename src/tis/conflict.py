@@ -99,23 +99,24 @@ def delta_independence_check(
 
     `selected` may hold vertex names or indices. The result always equals
     "selected is independent in conflict_graph(inst)" but is computed without
-    building that graph.
+    building that graph: each layer's neighbour sets are looked up once per
+    selected vertex.
     """
     S = sorted(inst.vertex_set(selected))
     plan = window_plan(inst.tau, inst.delta, semantics)
+    windows = [(start, plan.layers(start)) for start in plan.starts]
+    layers = {t: inst.layer_graph(t) for _, ts in windows for t in ts}
     witnesses: list[tuple[int, int, int, int]] = []
-    for a in range(len(S)):
-        for b in range(a + 1, len(S)):
-            u, v = S[a], S[b]
-            for start in plan.starts:
-                witness = None
-                for t in plan.layers(start):
-                    if not inst.layer_graph(t).has_edge(u, v):
-                        witness = t
+    for a, u in enumerate(S[:-1]):
+        nbrs = {t: g.neighbors(u) for t, g in layers.items()}
+        for v in S[a + 1 :]:
+            for start, ts in windows:
+                for t in ts:
+                    if v not in nbrs[t]:
+                        witnesses.append((u, v, start, t))
                         break
-                if witness is None:
+                else:
                     return IndependenceReport(False, (), (u, v, start))
-                witnesses.append((u, v, start, witness))
     return IndependenceReport(True, tuple(witnesses), None)
 
 

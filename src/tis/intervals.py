@@ -1,7 +1,8 @@
 """Interval-graph algorithmics.
 
-Maximum-weight independent set on interval models, maximal clique enumeration
-(geometric and abstract), consecutive-ones testing with minimal witnesses,
+Maximum-weight independent set on interval models, the canonical tie break
+shared with the exact solver, maximal clique enumeration (geometric and
+abstract), consecutive-ones testing with minimal witnesses,
 unit-interval recognition with model synthesis, and the right-endpoint
 ordering algebra: normalization of a model to an ordering, and intersection /
 union of models normalized to a common ordering.
@@ -14,11 +15,17 @@ Normalizing to an agreeing ordering puts right(v) at v's 1-based position and
 left(v) at the smallest position among the vertices sharing a clique with v,
 which makes intersection and union of two layers pointwise max / min on the
 left endpoints.
+
+The canonical optimum is the lexicographically smallest maximum-weight set.
+`canonical_optimum` gets it from one optimizer run on perturbed integer
+weights, w_int(v) * 2^n + 2^(n-1-v), which make that set the only maximum;
+`mwis_interval` is one interval-scheduling DP on those weights.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -186,38 +193,30 @@ def shrink_witness(
     return tuple(sorted(explain(frozenset(), False, descending)))
 
 
-def lex_min_optimum(
-    weights: Sequence[Fraction],
-    value: Callable[[Iterable[int]], Fraction],
-    compatible: Callable[[int, int], bool],
+def canonical_optimum(
+    weights: Sequence[Fraction], maximize: Callable[[list[int]], Iterable[int]]
 ) -> tuple[frozenset[int], Fraction]:
-    """The lexicographically smallest maximum-weight set of pairwise
-    compatible vertices (indices into `weights`), and its weight.
+    """The lexicographically smallest maximum-weight feasible set (indices
+    into `weights`) and its weight, from one run of an optimizer.
 
-    `value(allowed)` is the optimum weight within `allowed`. Greedy
-    completion: scan vertices in index order and keep v exactly when some
-    optimum extends the current prefix through v. The invariant (the kept
-    prefix extends to an optimum) holds at every step, so the result is
-    optimal and lex-minimal among optimal sets.
+    `maximize(W)` returns a feasible set of largest total W. Here
+    W(v) = w_int(v) * 2^n + 2^(n-1-v), with w_int the weights scaled to
+    integers by the LCM of their denominators. The bonuses of a set sum to
+    less than 2^n, so the maximum is unique: the optimal set that holds the
+    first vertex where two optimal sets differ. Its shortest prefix of
+    optimal weight (the empty one included) only drops trailing zero-weight
+    vertices, and is the lexicographically smallest optimal set.
     """
     n = len(weights)
-    opt = value(range(n))
-    chosen: list[int] = []
-    total = Fraction(0)
-    allowed = set(range(n))
-    for v in range(n):
-        if total == opt:
-            break  # any extension would only be lexicographically larger
-        if v not in allowed:
-            continue
-        rest = {u for u in allowed if u > v and compatible(u, v)}
-        if total + weights[v] + value(rest) == opt:
-            chosen.append(v)
-            total += weights[v]
-            allowed = rest
-    if total != opt:
-        raise InternalError(f"completion reached {total}, optimum is {opt}")
-    return frozenset(chosen), opt
+    scale = math.lcm(*(w.denominator for w in weights))
+    ints = [w.numerator * (scale // w.denominator) for w in weights]
+    chosen = sorted(maximize([w << n | 1 << (n - 1 - v) for v, w in enumerate(ints)]))
+    opt = sum(ints[v] for v in chosen)
+    total = cut = 0
+    while total != opt:
+        total += ints[chosen[cut]]
+        cut += 1
+    return frozenset(chosen[:cut]), Fraction(opt, scale)
 
 
 # -- maximum-weight independent set on an interval model ---------------------
@@ -227,36 +226,39 @@ def mwis_interval(model: IntervalModel, weights: Sequence[Fraction]) -> Solution
     """Maximum-total-weight set of pairwise non-intersecting intervals.
 
     Among equal-weight optima, returns the lexicographically smallest index
-    set (decided by greedy completion against the DP optimum).
+    set (canonical_optimum on one interval-scheduling DP).
     """
     if len(weights) != model.n:
         raise ValueError("weight count does not match model size")
     weights = [Fraction(w) for w in weights]
     if any(w < 0 for w in weights):
         raise ValueError("negative weight refused")
-    selected, opt = lex_min_optimum(
-        weights,
-        lambda allowed: _mwis_value(model, weights, allowed),
-        lambda u, v: not model.intersects(u, v),
+    selected, opt = canonical_optimum(
+        weights, lambda iw: _interval_schedule(model, iw)
     )
     return Solution(selected, opt, "mwis-interval")
 
 
-def _mwis_value(
-    model: IntervalModel, weights: Sequence[Fraction], allowed: Iterable[int]
-) -> Fraction:
-    """Sweep DP for the optimal weight within `allowed` (classic weighted
-    interval scheduling, closed intervals: touching intervals conflict)."""
-    items = sorted(allowed, key=lambda v: (model.right(v), v))
-    if not items:
-        return Fraction(0)
-    rights = [model.right(v) for v in items]
-    best = [Fraction(0)] * (len(items) + 1)
+def _interval_schedule(model: IntervalModel, weights: Sequence[int]) -> list[int]:
+    """A maximum-weight set of pairwise disjoint closed intervals (touching
+    intervals conflict): the classic weighted interval-scheduling DP over
+    the intervals sorted by right endpoint, then a walk back through it."""
+    ivs = model.intervals
+    items = sorted(range(model.n), key=lambda v: (ivs[v][1], v))
+    rights = [ivs[v][1] for v in items]
+    best, prev = [0], []  # prev[i]: how many items end before items[i] starts
     for i, v in enumerate(items):
-        p = bisect.bisect_left(rights, model.left(v), 0, i)
-        take = weights[v] + best[p]
-        best[i + 1] = max(best[i], take)
-    return best[len(items)]
+        prev.append(bisect.bisect_left(rights, ivs[v][0], 0, i))
+        best.append(max(best[i], weights[v] + best[prev[i]]))
+    chosen = []
+    i = len(items)
+    while i:
+        if best[i] == best[i - 1]:
+            i -= 1
+        else:
+            chosen.append(items[i - 1])
+            i = prev[i - 1]
+    return chosen
 
 
 # -- maximal cliques ---------------------------------------------------------

@@ -4,8 +4,7 @@ Four strategies, all returning Solution values whose selected sets pass
 delta_independence_check on the input instance:
 
   solve_exact_bruteforce  branch and bound on the conflict graph (int
-                          bitmasks, integer-scaled weights); canonical
-                          (lexicographically smallest optimal index set)
+                          bitmasks)
   solve_greedy            weight-greedy with closed-neighborhood removal
   solve_exact_op          interval sweep on the conflict interval model,
                           for instances that are order preserving
@@ -13,18 +12,18 @@ delta_independence_check on the input instance:
                           2^|S| independent sub-selections of S, solve the
                           order-preserving remainder exactly each time
 
-solve_exact_bruteforce and solve_exact_op resolve weight ties identically
-(canonical set), so tests may compare their selected sets, not just
-objectives. solve_fpt returns an optimum too, but not necessarily the
-canonical one: on weight ties its set can differ from the other two.
+solve_exact_bruteforce and solve_exact_op return the canonical optimum, the
+lexicographically smallest optimal index set, from one optimizer run on the
+perturbed integer weights of intervals.canonical_optimum. So tests may
+compare their selected sets, not just objectives. solve_fpt returns an
+optimum too, but on weight ties its set can differ from the other two.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import opvd
 from .conflict import (
@@ -33,7 +32,7 @@ from .conflict import (
     conflict_graph,
     delta_independence_check,
 )
-from .intervals import REOrdering, lex_min_optimum, mwis_interval
+from .intervals import REOrdering, canonical_optimum, mwis_interval
 from .model import (
     InternalError,
     LimitExceeded,
@@ -48,82 +47,67 @@ BRUTEFORCE_DEFAULT_LIMIT = 30
 
 
 def _mwis_graph_kernel(
-    g: StaticGraph, weights: Sequence[Fraction]
-) -> Callable[[Iterable[int]], Fraction]:
-    """The function `allowed -> maximum total weight of an independent set
-    of g inside allowed`, with its precomputation shared by all calls.
+    g: StaticGraph, weights: Sequence[int]
+) -> tuple[int, list[int]]:
+    """The maximum total weight of an independent set of g, for nonnegative
+    integer weights, and the first such set found.
 
-    Adjacency is one int bitmask per vertex. Weights are scaled to ints by
-    the LCM of their denominators; scaling by a positive constant keeps
-    every sum and comparison, so the integer optimum divided by the scale is
-    the exact rational one. Branch and bound on an explicit stack: peel
-    isolated vertices for free, branch on the highest-degree remaining
-    vertex (ties: smallest index), include before exclude, and prune when
-    the current weight plus all remaining weight, carried along rather than
-    re-summed, cannot beat the incumbent.
+    Adjacency is one int bitmask per vertex. Branch and bound on an explicit
+    stack: peel isolated vertices for free, branch on the highest-degree
+    remaining vertex (ties: smallest index), include before exclude, and
+    prune when the current weight plus all remaining weight, carried along
+    rather than re-summed, cannot beat the incumbent. Each stack entry
+    carries the set chosen so far.
     """
-    scale = math.lcm(*(w.denominator for w in weights))
-    iw = [w.numerator * (scale // w.denominator) for w in weights]
     adj = [0] * g.n
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-
-    def value(allowed: Iterable[int]) -> Fraction:
-        start = rest = 0
-        for v in allowed:
-            start |= 1 << v
-            rest += iw[v]
-        best = 0
-        stack = [(start, 0, rest)]
-        while stack:
-            remaining, current, rest = stack.pop()
+    best = best_set = 0
+    stack = [((1 << g.n) - 1, 0, sum(weights), 0)]
+    while stack:
+        remaining, current, rest, chosen = stack.pop()
+        if current > best:
+            best, best_set = current, chosen
+        if not remaining or current + rest <= best:
+            continue
+        iso = iso_w = 0
+        top = top_deg = -1
+        m = remaining
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            deg = (adj[v] & remaining).bit_count()
+            if deg == 0:
+                iso |= low
+                iso_w += weights[v]
+            elif deg > top_deg:
+                top, top_deg = v, deg
+        if iso:
+            current += iso_w
+            rest -= iso_w
+            remaining ^= iso
+            chosen |= iso
             if current > best:
-                best = current
+                best, best_set = current, chosen
             if not remaining or current + rest <= best:
                 continue
-            iso = iso_w = 0
-            top = top_deg = -1
-            m = remaining
-            while m:
-                low = m & -m
-                m ^= low
-                v = low.bit_length() - 1
-                deg = (adj[v] & remaining).bit_count()
-                if deg == 0:
-                    iso |= low
-                    iso_w += iw[v]
-                elif deg > top_deg:
-                    top, top_deg = v, deg
-            if iso:
-                current += iso_w
-                rest -= iso_w
-                remaining ^= iso
-                if current > best:
-                    best = current
-                if not remaining or current + rest <= best:
-                    continue
-            low = 1 << top
-            stack.append((remaining ^ low, current, rest - iw[top]))
-            drop = adj[top] & remaining
-            dropped = iw[top]
-            while drop:
-                bit = drop & -drop
-                drop ^= bit
-                dropped += iw[bit.bit_length() - 1]
-            stack.append(
-                (remaining & ~(adj[top] | low), current + iw[top], rest - dropped)
-            )
-        return Fraction(best, scale)
-
-    return value
+        low, w = 1 << top, weights[top]
+        stack.append((remaining ^ low, current, rest - w, chosen))
+        drop = adj[top] & remaining
+        dropped = w
+        while drop:
+            bit = drop & -drop
+            drop ^= bit
+            dropped += weights[bit.bit_length() - 1]
+        kept = remaining & ~(adj[top] | low)
+        stack.append((kept, current + w, rest - dropped, chosen | low))
+    return best, [v for v in range(g.n) if best_set >> v & 1]
 
 
 def _max_independent_cardinality(g: StaticGraph) -> int:
-    value = _mwis_graph_kernel(g, [Fraction(1)] * g.n)(range(g.n))
-    if value.denominator != 1:
-        raise InternalError(f"unit-weight optimum {value} is not an integer")
-    return int(value)
+    return _mwis_graph_kernel(g, [1] * g.n)[0]
 
 
 def _certified(
@@ -149,15 +133,13 @@ def solve_exact_bruteforce(
     semantics: WindowSemantics = WindowSemantics.FIGURE,
     limit: int = BRUTEFORCE_DEFAULT_LIMIT,
 ) -> Solution:
-    """Exact maximum-weight delta-independent set via the conflict graph;
-    every value call of the lex-min completion runs one shared kernel."""
+    """Exact maximum-weight delta-independent set via the conflict graph:
+    one branch and bound on the perturbed weights of canonical_optimum."""
     if inst.n > limit:
         raise LimitExceeded(f"bruteforce capped at n <= {limit}, got {inst.n}")
     g = conflict_graph(inst, semantics)
-    selected, objective = lex_min_optimum(
-        inst.weights,
-        _mwis_graph_kernel(g, inst.weights),
-        lambda u, v: u not in g.neighbors(v),
+    selected, objective = canonical_optimum(
+        inst.weights, lambda weights: _mwis_graph_kernel(g, weights)[1]
     )
     return _certified(inst, selected, objective, "bruteforce", semantics)
 
@@ -167,17 +149,17 @@ def solve_greedy(
     semantics: WindowSemantics = WindowSemantics.FIGURE,
 ) -> Solution:
     """Pick the heaviest remaining vertex (ties: smallest index), discard its
-    closed conflict neighborhood, repeat. Runs anywhere, no optimality."""
+    closed conflict neighborhood, repeat: one pass over the vertices sorted
+    by (-weight, index) that skips discarded ones. Runs anywhere, no
+    optimality."""
     g = conflict_graph(inst, semantics)
-    remaining = set(range(inst.n))
+    removed: set[int] = set()
     chosen: list[int] = []
-    total = Fraction(0)
-    while remaining:
-        v = max(remaining, key=lambda u: (inst.weights[u], -u))
-        chosen.append(v)
-        total += inst.weights[v]
-        remaining -= g.neighbors(v)
-        remaining.discard(v)
+    for v in sorted(range(inst.n), key=lambda u: (-inst.weights[u], u)):
+        if v not in removed:
+            chosen.append(v)
+            removed |= g.neighbors(v)
+    total = sum((inst.weights[v] for v in chosen), Fraction(0))
     return _certified(inst, frozenset(chosen), total, "greedy", semantics)
 
 

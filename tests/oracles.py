@@ -294,3 +294,46 @@ def ascending_shrink(items, fails) -> tuple[int, ...]:
         if fails(frozenset(keep - {x})):
             keep.discard(x)
     return tuple(sorted(keep))
+
+
+def greedy_by_definition(
+    n: int, edges: Iterable[tuple[int, int]], weights: Sequence[Fraction]
+) -> frozenset[int]:
+    """Repeatedly take the heaviest vertex left (ties: smallest index) and
+    drop it and its neighbours, scanning what is left at every step."""
+    edge_set = {(min(u, v), max(u, v)) for u, v in edges}
+    left = list(range(n))
+    chosen = set()
+    while left:
+        v = left[0]
+        for u in left:
+            if weights[u] > weights[v]:
+                v = u
+        chosen.add(v)
+        left = [u for u in left if u != v and (min(u, v), max(u, v)) not in edge_set]
+    return frozenset(chosen)
+
+
+def independence_report(
+    inst: TemporalIntervalInstance, selected: Iterable[int], semantics: str = "figure"
+) -> tuple[bool, tuple[tuple[int, int, int, int], ...], Optional[tuple[int, int, int]]]:
+    """(independent, witnesses, violation) from the window definition: for
+    each pair of selected vertices in order and each window, the first layer
+    of the window missing the pair's edge, or the first pair and window
+    with the edge in every layer."""
+    if semantics == "figure":
+        length = min(inst.delta, inst.tau)
+        starts = range(1, inst.tau - length + 2)
+    else:
+        length = inst.delta + 1
+        starts = range(1, inst.tau - inst.delta + 1)
+    per_layer = [layer_edge_set(inst, t) for t in range(1, inst.tau + 1)]
+    chosen = sorted(set(selected))
+    witnesses = []
+    for u, v in itertools.combinations(chosen, 2):
+        for s in starts:
+            free = [t for t in range(s, s + length) if (u, v) not in per_layer[t - 1]]
+            if not free:
+                return (False, (), (u, v, s))
+            witnesses.append((u, v, s, free[0]))
+    return (True, tuple(witnesses), None)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import tis
@@ -119,6 +121,29 @@ class TestIndependenceCheck:
                     u in g.neighbors(v) for u in sel for v in sel if u < v
                 )
                 assert rep.independent == (not clash)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 12),
+        tau=st.integers(1, 5),
+        semantics=st.sampled_from(list(WindowSemantics)),
+        data=st.data(),
+    )
+    def test_report_matches_definition(self, seed, n, tau, semantics, data):
+        inst = tis.gen_random_unit(
+            n, tau, 1 + seed % tau, 0, seed=seed, spread=2 + seed % 3
+        )
+        greedy = tis.solve_greedy(inst, semantics).selected
+        # a random set (mostly dependent) or a greedy answer (independent,
+        # so every pair and window has a witness)
+        sel = data.draw(
+            st.one_of(st.just(greedy), st.frozensets(st.integers(0, n - 1)))
+        )
+        rep = delta_independence_check(inst, sel, semantics)
+        assert (rep.independent, rep.witnesses, rep.violation) == (
+            oracles.independence_report(inst, sel, semantics.value)
+        )
 
 
 class TestNeighborhoodBound:

@@ -90,6 +90,37 @@ class TestMwis:
                 if u < v:
                     assert (u, v) not in edges
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(0, 9), data=st.data())
+    def test_rational_weights_give_lex_min_optimum(self, seed, n, data):
+        # non-integer weights with zeros and ties: exercises the integer
+        # scaling and the perturbed tie break together
+        m = random_model(random.Random(seed), n)
+        weights = data.draw(
+            st.lists(
+                st.builds(F, st.integers(0, 6), st.integers(1, 12)),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        sol = mwis_interval(m, weights)
+        edges = oracles.model_edge_set(m.intervals)
+        optima = oracles.all_optimal_independent_sets(n, edges, weights)
+        best = oracles.max_weight_independent(n, edges, weights)
+        assert (sol.selected, sol.objective) == (optima[0], best)
+
+    def test_all_zero_weights_select_nothing(self):
+        sol = mwis_interval(model((0, 1), (2, 3), (4, 5)), [F(0)] * 3)
+        assert sol.selected == frozenset() and sol.objective == 0
+
+    def test_trailing_zero_weights_are_not_added(self):
+        m = model((0, 1), (2, 3), (4, 5))
+        sol = mwis_interval(m, [F(1, 2), F(0), F(0)])
+        assert sol.selected == frozenset({0}) and sol.objective == F(1, 2)
+        # a zero weight before the last positive one stays: (0, 1) < (1,)
+        sol = mwis_interval(m, [F(0), F(1), F(0)])
+        assert sol.selected == frozenset({0, 1}) and sol.objective == 1
+
 
 class TestMaximalCliques:
     def test_disjoint_intervals(self):

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 import oracles
 import tis
 from tis.conflict import WindowSemantics, conflict_graph
-from tis.model import InternalError, LimitExceeded, TemporalIntervalInstance
+from tis.model import (
+    InternalError,
+    IntervalModel,
+    LimitExceeded,
+    TemporalIntervalInstance,
+)
 from tis.solvers import (
     _max_independent_cardinality,
     solve_exact_bruteforce,
@@ -81,6 +86,21 @@ class TestBruteforce:
         g = conflict_graph(inst)
         assert _max_independent_cardinality(g) == oracles.mis_cardinality(n, edges)
 
+    def test_cut_drops_only_trailing_zero_weights(self):
+        # three vertices that never conflict: every subset is independent
+        layer = IntervalModel([(0, 1), (2, 3), (4, 5)])
+
+        def solve(weights):
+            inst = TemporalIntervalInstance(
+                ["a", "b", "c"], weights, 1, 1, 0, "model", [layer], True
+            )
+            sol = solve_exact_bruteforce(inst)
+            return sol.selected, sol.objective
+
+        assert solve([0, 0, 0]) == (frozenset(), 0)
+        assert solve([Fraction(1, 3), 0, 0]) == (frozenset({0}), Fraction(1, 3))
+        assert solve([0, 1, 0]) == (frozenset({0, 1}), 1)
+
     def test_size_guard(self):
         inst = tis.gen_random_unit(8, 2, 1, 0, seed=5)
         with pytest.raises(LimitExceeded):
@@ -109,6 +129,36 @@ class TestGreedy:
     def test_deterministic(self, weighted_corpus):
         inst = weighted_corpus[0]
         assert solve_greedy(inst).selected == solve_greedy(inst).selected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 14),
+        tau=st.integers(1, 4),
+        semantics=st.sampled_from(list(WindowSemantics)),
+        data=st.data(),
+    )
+    def test_matches_naive_greedy(self, seed, n, tau, semantics, data):
+        base = tis.gen_random_unit(
+            n, tau, 1 + seed % tau, 0, seed=seed, spread=2 + seed % 3
+        )
+        # few distinct weights, so ties are common
+        weights = data.draw(
+            st.lists(
+                st.builds(Fraction, st.integers(0, 3), st.integers(1, 2)),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        inst = TemporalIntervalInstance(
+            base.names, weights, base.tau, base.delta, 0, base.mode,
+            base.layers, base.unit_flag,
+        )
+        sol = solve_greedy(inst, semantics)
+        edges = oracles.conflict_edge_set(inst, semantics.value)
+        picks = oracles.greedy_by_definition(n, edges, weights)
+        assert sol.selected == picks
+        assert sol.objective == sum((weights[v] for v in picks), Fraction(0))
 
     def test_failed_self_check_is_internal_error(self, weighted_corpus, monkeypatch):
         # the check must survive python -O, so it cannot be an assert
