@@ -8,15 +8,14 @@ delta_independence_check on the input instance:
   solve_greedy            weight-greedy with closed-neighborhood removal
   solve_exact_op          interval sweep on the conflict interval model,
                           for instances that are order preserving
-  solve_fpt               parameterized by a deletion set S: enumerate the
-                          2^|S| independent sub-selections of S, solve the
-                          order-preserving remainder exactly each time
+  solve_fpt               parameterized by a deletion set S: one conflict
+                          interval model of inst - S, swept once for each
+                          of the 2^|S| independent sub-selections of S
 
-solve_exact_bruteforce and solve_exact_op return the canonical optimum, the
-lexicographically smallest optimal index set, from one optimizer run on the
-perturbed integer weights of intervals.canonical_optimum. So tests may
-compare their selected sets, not just objectives. solve_fpt returns an
-optimum too, but on weight ties its set can differ from the other two.
+The three exact solvers return the canonical optimum, the lexicographically
+smallest optimal index set, from one optimizer run on the perturbed integer
+weights of intervals.canonical_optimum. So tests may compare their selected
+sets, not just objectives.
 """
 
 from __future__ import annotations
@@ -32,7 +31,12 @@ from .conflict import (
     conflict_graph,
     delta_independence_check,
 )
-from .intervals import REOrdering, canonical_optimum, mwis_interval
+from .intervals import (
+    REOrdering,
+    _interval_schedule,
+    canonical_optimum,
+    mwis_interval,
+)
 from .model import (
     InternalError,
     LimitExceeded,
@@ -182,11 +186,14 @@ def solve_fpt(
 ) -> Solution:
     """Exact solve parameterized by a deletion set S to order preservation.
 
+    inst - S is recognized once and its conflict interval model built once.
     For each of the 2^|S| subsets X of S that are independent in the
-    conflict graph, the rest of the instance is restricted to vertices not
-    conflicting with X and solved by the order-preserving sweep; the best
-    total wins. Requires inst minus S to be order preserving. Runtime is
-    exponential only in |S|.
+    conflict graph, the interval-scheduling DP runs on that model restricted
+    to the survivors not conflicting with X (a restricted model induces the
+    induced subgraph), and the best X plus remainder wins. All of it runs
+    under canonical_optimum, so the answer is the canonical optimum, the
+    same set as solve_exact_bruteforce and solve_exact_op. Requires inst
+    minus S to be order preserving. Runtime is exponential only in |S|.
     """
     s_set = inst.vertex_set(deletion_set)
     reduced = remove_vertices(inst, s_set)
@@ -195,46 +202,36 @@ def solve_fpt(
         raise ValueError(
             "deletion set does not leave an order-preserving instance"
         )
-    keep = [v for v in range(inst.n) if v not in s_set]
     if rep.ordering is None:
         raise InternalError("order-preserving report carries no ordering")
-    orig_order = [keep[i] for i in rep.ordering.order]
-
+    model = conflict_interval_model(reduced, rep.ordering, semantics)
+    keep = [v for v in range(inst.n) if v not in s_set]
     g = conflict_graph(inst, semantics)
     s_sorted = sorted(s_set)
-    best_selected: Optional[frozenset[int]] = None
-    best_total = Fraction(-1)
-    for mask in range(1 << len(s_sorted)):
-        x = [s_sorted[i] for i in range(len(s_sorted)) if mask >> i & 1]
-        if any(b in g.neighbors(a) for a in x for b in x):
-            continue
-        blocked: set[int] = set()
-        for a in x:
-            blocked |= g.neighbors(a)
-        sub_keep = [v for v in keep if v not in blocked]
-        x_weight = sum((inst.weights[v] for v in x), Fraction(0))
-        if sub_keep:
-            sub_inst = remove_vertices(
-                inst, set(range(inst.n)) - set(sub_keep)
-            )
-            sub_pos = {v: i for i, v in enumerate(sub_keep)}
-            sub_order = REOrdering(
-                tuple(sub_pos[v] for v in orig_order if v in sub_pos)
-            )
-            inner = solve_exact_op(sub_inst, sub_order, semantics)
-            total = x_weight + inner.objective
-            selected = frozenset(x) | frozenset(
-                sub_keep[i] for i in inner.selected
-            )
-        else:
-            total = x_weight
-            selected = frozenset(x)
-        if total > best_total:
-            best_total = total
-            best_selected = selected
-    if best_selected is None:
-        raise InternalError("fpt tried no subset of the deletion set")
-    return _certified(inst, best_selected, best_total, "fpt", semantics)
+
+    def maximize(weights: list[int]) -> list[int]:
+        best, best_set = -1, []
+        for mask in range(1 << len(s_sorted)):
+            x = [s_sorted[i] for i in range(len(s_sorted)) if mask >> i & 1]
+            blocked: set[int] = set()
+            for a in x:
+                blocked |= g.neighbors(a)
+            if blocked.intersection(x):
+                continue
+            rest = [i for i, v in enumerate(keep) if v not in blocked]
+            chosen = x + [
+                keep[rest[j]]
+                for j in _interval_schedule(
+                    model.restrict(rest), [weights[keep[i]] for i in rest]
+                )
+            ]
+            total = sum(weights[v] for v in chosen)
+            if total > best:
+                best, best_set = total, chosen
+        return best_set
+
+    selected, objective = canonical_optimum(inst.weights, maximize)
+    return _certified(inst, selected, objective, "fpt", semantics)
 
 
 def solve(

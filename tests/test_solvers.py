@@ -201,12 +201,14 @@ class TestFpt:
             sol = solve_fpt(inst, s)
             ref = solve_exact_bruteforce(inst)
             assert sol.objective == ref.objective
+            assert sol.selected == ref.selected
 
     def test_accepts_non_minimal_deletion_set(self, two_layer_path):
         ref = solve_exact_bruteforce(two_layer_path)
         for s in (frozenset({0}), frozenset({0, 1}), frozenset({0, 5})):
             sol = solve_fpt(two_layer_path, s)
             assert sol.objective == ref.objective
+            assert sol.selected == ref.selected
 
     def test_rejects_insufficient_set(self, two_layer_path):
         with pytest.raises(ValueError):
@@ -217,6 +219,65 @@ class TestFpt:
             s = tis.min_opvd(inst).deletion_set
             sol = solve_fpt(inst, s)
             assert tis.delta_independence_check(inst, sol.selected).independent
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 10),
+        tau=st.integers(1, 4),
+        semantics=st.sampled_from(list(WindowSemantics)),
+        data=st.data(),
+    )
+    def test_canonical_optimum(self, seed, n, tau, semantics, data):
+        # weights p/q with q up to 12, zeros common: ties between optima
+        # must go to the lexicographically smallest set, as for exact
+        base = tis.gen_random_unit(
+            n, tau, 1 + seed % tau, 0, seed=seed, spread=2 + seed % 3
+        )
+        weights = data.draw(
+            st.lists(
+                st.one_of(
+                    st.just(Fraction(0)),
+                    st.builds(Fraction, st.integers(0, 6), st.integers(1, 12)),
+                ),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        inst = TemporalIntervalInstance(
+            base.names, weights, base.tau, base.delta, 0, base.mode,
+            base.layers, base.unit_flag,
+        )
+        s = tis.min_opvd(inst).deletion_set
+        s |= data.draw(st.sets(st.integers(0, n - 1), max_size=2))
+        sol = solve_fpt(inst, s, semantics)
+        edges = oracles.conflict_edge_set(inst, semantics.value)
+        optima = oracles.all_optimal_independent_sets(n, edges, weights)
+        assert sol.selected == optima[0]
+        assert sol.objective == oracles.max_weight_independent(n, edges, weights)
+
+    def test_one_model_and_one_certification(self, two_layer_path, monkeypatch):
+        calls = {"model": 0, "check": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            tis.solvers,
+            "conflict_interval_model",
+            counted("model", tis.solvers.conflict_interval_model),
+        )
+        monkeypatch.setattr(
+            tis.solvers,
+            "delta_independence_check",
+            counted("check", tis.solvers.delta_independence_check),
+        )
+        solve_fpt(two_layer_path, frozenset({0, 1, 5}))
+        assert calls == {"model": 1, "check": 1}
 
 
 class TestVerification:
