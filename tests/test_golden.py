@@ -5,8 +5,10 @@
 between modules; every refactor since must reproduce it exactly.
 `gen_op_n40.tis` is `tis gen op --n 40 --tau 3 --delta 2 --k 10 --seed 7`;
 `gen_random_n12.tis` is `tis gen random --n 12 --tau 3 --delta 2 --k 4
---seed 8 --spread 5 --max-weight 3`, an instance on which `fpt` and
-`exact` pick different optimal sets. `gen_op_edges_n30.tis` is `tis gen op
+--seed 8 --spread 5 --max-weight 3`, an instance with several optimal
+sets. The `fpt` cases on it and on `two_layer_path.tis` were re-recorded
+when `fpt` took the canonical tie break: each now prints the `exact` set,
+with the objective unchanged. `gen_op_edges_n30.tis` is `tis gen op
 --n 30 --tau 3 --delta 2 --k 8 --seed 11` with each layer written as the
 edge list of its graph, so recognition enumerates cliques of abstract
 graphs; its cases were recorded while networkx enumerated them.
