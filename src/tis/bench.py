@@ -11,12 +11,13 @@ greedy guarantee (tau - delta + 1) * 2^delta and is only filled on greedy
 rows of unit instances; bound_holds checks objective * ratio_bound >=
 oracle_objective whenever both sides are known. verified is the
 independence verdict of verify_solution on the row's set, not the solver's
-own certificate. The op and fpt answers are exact, so when the exact run
-exists an objective that differs from it is an internal error. runtime_ms
-is end to end per algorithm, as `solvers.solve` runs it: the op time
-includes recognition and the fpt time includes min_opvd. An unreadable
-file, or an input the algorithms refuse, produces a single row with
-verified=ERROR and the run continues; an internal error stops the run.
+own certificate. The op and fpt answers are the canonical optimum, so when
+the exact run exists an objective or a selected set that differs from its
+answer is an internal error. runtime_ms is end to end per algorithm, as
+`solvers.solve` runs it: the op time includes recognition and the fpt time
+includes min_opvd. An unreadable file, or an input the algorithms refuse,
+produces a single row with verified=ERROR and the run continues; an
+internal error stops the run.
 Rows are sorted by (instance, algorithm) before writing, so the CSV is
 deterministic up to the runtime_ms column.
 """
@@ -136,7 +137,7 @@ def _instance_rows(
     oracle_limit: int,
 ) -> list[dict[str, str]]:
     """One row per algorithm that applies; the timed exact run doubles as
-    the oracle for every row and must agree with op and fpt."""
+    the oracle for every row, and op and fpt must return its set."""
     algorithms = ["exact"] if inst.n <= oracle_limit else []
     algorithms.append("greedy")
     if inst.unit_flag:
@@ -147,15 +148,18 @@ def _instance_rows(
         sol = solve(inst, algorithm, semantics, limit=oracle_limit)
         if sol is not None:
             runs[algorithm] = (sol, (time.perf_counter() - t0) * 1000.0)
-    oracle = runs["exact"][0].objective if "exact" in runs else None
+    exact = runs["exact"][0] if "exact" in runs else None
+    oracle = exact.objective if exact is not None else None
     for algorithm in ("op", "fpt"):
-        if oracle is not None and algorithm in runs:
-            objective = runs[algorithm][0].objective
-            if objective != oracle:
+        if exact is not None and algorithm in runs:
+            sol = runs[algorithm][0]
+            if sol.objective != oracle:
                 raise InternalError(
-                    f"{name}: {algorithm} objective {objective} differs from "
-                    f"the exact optimum {oracle}"
+                    f"{name}: {algorithm} objective {sol.objective} differs "
+                    f"from the exact optimum {oracle}"
                 )
+            if sol.selected != exact.selected:
+                raise InternalError(f"{name}: {algorithm} set is not the exact run's")
     return [
         _row(inst, name, algorithm, sol, elapsed_ms, oracle, semantics)
         for algorithm, (sol, elapsed_ms) in runs.items()

@@ -56,6 +56,16 @@ from .solvers import (  # noqa: F401
 )
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return value
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -67,7 +77,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument(
         "--limit-oracle",
-        type=int,
+        type=_nonnegative_int,
         default=None,
         metavar="N",
         help="vertex cap for exhaustive computations (exit 3 beyond it)",
@@ -101,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("opvd", parents=[common])
     p.add_argument("file")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--budget", type=int, default=None, metavar="B")
+    p.add_argument("--budget", type=_nonnegative_int, default=None, metavar="B")
 
     p = sub.add_parser("recognize", parents=[common])
     p.add_argument("file")
@@ -126,6 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _semantics(args: argparse.Namespace) -> WindowSemantics:
     return WindowSemantics(args.window_semantics)
+
+
+def _limit(args: argparse.Namespace, default: int) -> int:
+    return default if args.limit_oracle is None else args.limit_oracle
 
 
 def _load(path: str) -> TemporalIntervalInstance:
@@ -173,9 +187,7 @@ def _parse_vertex_list(inst: TemporalIntervalInstance, text: str) -> set[int]:
 def _cmd_solve(args: argparse.Namespace) -> int:
     inst = _load(args.file)
     sem = _semantics(args)
-    limit = (
-        args.limit_oracle if args.limit_oracle is not None else BRUTEFORCE_DEFAULT_LIMIT
-    )
+    limit = _limit(args, BRUTEFORCE_DEFAULT_LIMIT)
     deletion = None
     if args.alg == "fpt":
         if args.opvd_set is not None:
@@ -200,12 +212,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_opvd(args: argparse.Namespace) -> int:
     inst = _load(args.file)
     if args.exact:
-        limit = (
-            args.limit_oracle
-            if args.limit_oracle is not None
-            else EXHAUSTIVE_DEFAULT_LIMIT
-        )
-        result = opvd_exhaustive(inst, limit=limit)
+        result = opvd_exhaustive(inst, limit=_limit(args, EXHAUSTIVE_DEFAULT_LIMIT))
     else:
         try:
             result = min_opvd(inst, budget=args.budget)
@@ -278,9 +285,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    limit = (
-        args.limit_oracle if args.limit_oracle is not None else BRUTEFORCE_DEFAULT_LIMIT
-    )
+    limit = _limit(args, BRUTEFORCE_DEFAULT_LIMIT)
     rows = run_bench(args.dir, args.csv, _semantics(args), oracle_limit=limit)
     print(f"rows={len(rows)} csv={args.csv}")
     return 0

@@ -57,6 +57,23 @@ class OpvdResult:
     ordering: tuple[int, ...]
 
 
+def _result(
+    inst: TemporalIntervalInstance,
+    dels: frozenset[int],
+    rep: OrderPreservationReport,
+) -> OpvdResult:
+    """The OpvdResult for deleting `dels`, with the ordering of inst - dels
+    in `rep` mapped back to original indices."""
+    if rep.ordering is None:
+        raise InternalError(f"no ordering after deleting vertices {sorted(dels)}")
+    keep = [v for v in range(inst.n) if v not in dels]
+    return OpvdResult(
+        deletion_set=dels,
+        size=len(dels),
+        ordering=tuple(keep[i] for i in rep.ordering.order),
+    )
+
+
 class _RecognitionCache:
     """Memoized `is the instance minus this deletion set order preserving`."""
 
@@ -77,15 +94,7 @@ class _RecognitionCache:
         return self.report(dels).is_order_preserving
 
     def result_for(self, dels: frozenset[int]) -> OpvdResult:
-        rep = self.report(dels)
-        if rep.ordering is None:
-            raise InternalError("result requested for a non-order-preserving set")
-        keep = [v for v in range(self.inst.n) if v not in dels]
-        return OpvdResult(
-            deletion_set=dels,
-            size=len(dels),
-            ordering=tuple(keep[i] for i in rep.ordering.order),
-        )
+        return _result(self.inst, dels, self.report(dels))
 
 
 def _hereditary_witness(
@@ -175,12 +184,5 @@ def opvd_exhaustive(
                 remove_vertices(inst, dels), witness=False
             )
             if rep.is_order_preserving:
-                keep = [v for v in range(inst.n) if v not in dels]
-                if rep.ordering is None:
-                    raise InternalError("order-preserving report carries no ordering")
-                return OpvdResult(
-                    deletion_set=dels,
-                    size=d,
-                    ordering=tuple(keep[i] for i in rep.ordering.order),
-                )
+                return _result(inst, dels, rep)
     raise InternalError("unreachable: the empty instance is order preserving")

@@ -31,12 +31,7 @@ from .conflict import (
     conflict_graph,
     delta_independence_check,
 )
-from .intervals import (
-    REOrdering,
-    _interval_schedule,
-    canonical_optimum,
-    mwis_interval,
-)
+from .intervals import REOrdering, _interval_schedule, canonical_optimum, mwis_interval
 from .model import (
     InternalError,
     LimitExceeded,
@@ -186,22 +181,19 @@ def solve_fpt(
 ) -> Solution:
     """Exact solve parameterized by a deletion set S to order preservation.
 
-    inst - S is recognized once and its conflict interval model built once.
-    For each of the 2^|S| subsets X of S that are independent in the
-    conflict graph, the interval-scheduling DP runs on that model restricted
-    to the survivors not conflicting with X (a restricted model induces the
-    induced subgraph), and the best X plus remainder wins. All of it runs
-    under canonical_optimum, so the answer is the canonical optimum, the
-    same set as solve_exact_bruteforce and solve_exact_op. Requires inst
-    minus S to be order preserving. Runtime is exponential only in |S|.
+    Builds the conflict interval model of inst - S once. For each of the
+    2^|S| subsets X of S that are independent in the conflict graph, the
+    interval-scheduling DP runs on that model restricted to the survivors
+    not conflicting with X; the best X plus remainder wins. This is the
+    maximizer of one canonical_optimum call, so the answer is the canonical
+    optimum. Requires inst - S to be order preserving. Runtime is
+    exponential only in |S|.
     """
     s_set = inst.vertex_set(deletion_set)
     reduced = remove_vertices(inst, s_set)
     rep = recognize_order_preserving(reduced, witness=False)
     if not rep.is_order_preserving:
-        raise ValueError(
-            "deletion set does not leave an order-preserving instance"
-        )
+        raise ValueError("deletion set does not leave an order-preserving instance")
     if rep.ordering is None:
         raise InternalError("order-preserving report carries no ordering")
     model = conflict_interval_model(reduced, rep.ordering, semantics)
@@ -212,19 +204,15 @@ def solve_fpt(
     def maximize(weights: list[int]) -> list[int]:
         best, best_set = -1, []
         for mask in range(1 << len(s_sorted)):
-            x = [s_sorted[i] for i in range(len(s_sorted)) if mask >> i & 1]
-            blocked: set[int] = set()
-            for a in x:
-                blocked |= g.neighbors(a)
+            x = [v for i, v in enumerate(s_sorted) if mask >> i & 1]
+            blocked = set().union(*map(g.neighbors, x))
             if blocked.intersection(x):
                 continue
             rest = [i for i, v in enumerate(keep) if v not in blocked]
-            chosen = x + [
-                keep[rest[j]]
-                for j in _interval_schedule(
-                    model.restrict(rest), [weights[keep[i]] for i in rest]
-                )
-            ]
+            picks = _interval_schedule(
+                model.restrict(rest), [weights[keep[i]] for i in rest]
+            )
+            chosen = x + [keep[rest[j]] for j in picks]
             total = sum(weights[v] for v in chosen)
             if total > best:
                 best, best_set = total, chosen

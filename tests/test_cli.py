@@ -136,6 +136,15 @@ class TestSolve:
         r = run_cli("solve", str(out), "--alg", "exact", "--limit-oracle", "8")
         assert r.returncode == 3
 
+    def test_negative_limit_oracle_is_input_error(self, run_cli):
+        r = run_cli(
+            "solve", f"{DATA}/two_layer_path.tis", "--alg", "exact",
+            "--limit-oracle", "-1",
+        )
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "--limit-oracle" in r.stderr
+
     def test_internal_error_exits_four(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise InternalError("planted failure")
@@ -158,6 +167,12 @@ class TestOpvd:
         r = run_cli("opvd", f"{DATA}/two_layer_path.tis", "--budget", "0")
         assert r.returncode == 1
         assert r.stdout == "BUDGET-EXCEEDED budget=0\n"
+
+    def test_negative_budget_is_input_error(self, run_cli):
+        r = run_cli("opvd", f"{DATA}/pooled_trap.tis", "--budget", "-1")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "--budget" in r.stderr
 
     def test_exact_mode(self, run_cli):
         r = run_cli("opvd", f"{DATA}/pooled_trap.tis", "--exact")
@@ -261,6 +276,26 @@ class TestBench:
         assert code == 4
         err = capsys.readouterr().err
         assert "op objective 0 differs from the exact optimum" in err
+
+    def test_other_optimal_set_stops_the_run(self, monkeypatch, capsys, tmp_path):
+        solve = tis.bench.solve
+
+        def other_fpt_set(inst, alg, *args, **kwargs):
+            sol = solve(inst, alg, *args, **kwargs)
+            if alg != "fpt" or sol is None:
+                return sol
+            # the optimal objective, but not the exact run's set
+            return Solution(frozenset(), sol.objective, sol.algorithm)
+
+        d = tmp_path / "corpus"
+        d.mkdir()
+        inst = tis.gen_order_preserving(12, 3, 1, 0, seed=5)
+        (d / "op.tis").write_text(tis.serialize_instance(inst))
+        monkeypatch.setattr(tis.bench, "solve", other_fpt_set)
+        code = tis.cli.run(["bench", str(d), str(tmp_path / "b.csv")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "fpt set is not the exact run's" in err
 
     def test_no_timing_on_stdout(self, run_cli, tmp_path):
         d = tmp_path / "corpus"

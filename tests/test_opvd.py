@@ -5,8 +5,10 @@ import pytest
 import tis
 import tis.intervals
 import tis.opvd
-from tis.model import BudgetExceeded, LimitExceeded, remove_vertices
-from tis.opvd import min_opvd, opvd_exhaustive
+from tis.intervals import REOrdering
+from tis.model import BudgetExceeded, InternalError, LimitExceeded, remove_vertices
+from tis.opvd import OpvdResult, min_opvd, opvd_exhaustive
+from tis.order import OrderPreservationReport
 
 DATA = Path(__file__).parent / "data"
 
@@ -89,6 +91,21 @@ class TestExhaustive:
         inst = tis.gen_random_unit(6, 2, 1, 0, seed=1)
         with pytest.raises(LimitExceeded):
             opvd_exhaustive(inst, limit=5)
+
+
+class TestResult:
+    def test_missing_ordering_is_internal_error(self, two_layer_path):
+        for rep in (
+            OrderPreservationReport(False),
+            OrderPreservationReport(True, None),
+        ):
+            with pytest.raises(InternalError):
+                tis.opvd._result(two_layer_path, frozenset({0}), rep)
+
+    def test_ordering_in_original_indices(self, two_layer_path):
+        rep = OrderPreservationReport(True, REOrdering((4, 0, 2, 1, 3)))
+        res = tis.opvd._result(two_layer_path, frozenset({1}), rep)
+        assert res == OpvdResult(frozenset({1}), 1, (5, 0, 3, 2, 4))
 
 
 class TestDeletionValidity:
