@@ -211,14 +211,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_opvd(args: argparse.Namespace) -> int:
     inst = _load(args.file)
-    if args.exact:
-        result = opvd_exhaustive(inst, limit=_limit(args, EXHAUSTIVE_DEFAULT_LIMIT))
-    else:
-        try:
+    try:
+        if args.exact:
+            limit = _limit(args, EXHAUSTIVE_DEFAULT_LIMIT)
+            result = opvd_exhaustive(inst, limit=limit)
+            if args.budget is not None and result.size > args.budget:
+                raise BudgetExceeded(f"minimum deletion set has size {result.size}")
+        else:
             result = min_opvd(inst, budget=args.budget)
-        except BudgetExceeded:
-            print(f"BUDGET-EXCEEDED budget={args.budget}")
-            return 1
+    except BudgetExceeded:
+        print(f"BUDGET-EXCEEDED budget={args.budget}")
+        return 1
     print(f"size={result.size}")
     print(f"set={_names(inst, result.deletion_set)}")
     print(f"ordering={','.join(inst.names[v] for v in result.ordering)}")
@@ -228,9 +231,7 @@ def _cmd_opvd(args: argparse.Namespace) -> int:
 def _cmd_recognize(args: argparse.Namespace) -> int:
     inst = _load(args.file)
     rep = recognize_order_preserving(inst)
-    if rep.is_order_preserving:
-        if rep.ordering is None:
-            raise InternalError("order-preserving report carries no ordering")
+    if rep.ordering is not None:
         order = ",".join(inst.names[v] for v in rep.ordering.order)
         print(f"ORDER-PRESERVING {order}")
         return 0

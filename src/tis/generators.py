@@ -8,7 +8,6 @@ is unit, model mode.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -169,48 +168,15 @@ def gadget_character_vertices(inst: TemporalIntervalInstance) -> list[str]:
 def lcs_permutations(strings: Sequence[Sequence[int]]) -> int:
     """Length of the longest common subsequence of permutations of 1..n.
 
-    Dynamic programming for two or three strings; for more, subsets of the
-    first string are tried longest first (fine for the small alphabets the
-    gadget targets).
+    A common subsequence is a chain of characters, each before the next in
+    every string, so its length is the longest path in that precedence
+    order: one dynamic program along the first string, O(k*n^2) for k
+    strings.
     """
-    n = _check_permutations(strings)
-    if len(strings) == 1:
-        return n
-    if len(strings) == 2:
-        a, b = strings
-        prev = [0] * (n + 1)
-        for i in range(1, n + 1):
-            cur = [0] * (n + 1)
-            for j in range(1, n + 1):
-                if a[i - 1] == b[j - 1]:
-                    cur[j] = prev[j - 1] + 1
-                else:
-                    cur[j] = max(prev[j], cur[j - 1])
-            prev = cur
-        return prev[n]
-    if len(strings) == 3:
-        a, b, c = strings
-        size = n + 1
-        prev = [[0] * size for _ in range(size)]
-        for i in range(1, size):
-            cur = [[0] * size for _ in range(size)]
-            for j in range(1, size):
-                for m in range(1, size):
-                    if a[i - 1] == b[j - 1] == c[m - 1]:
-                        cur[j][m] = prev[j - 1][m - 1] + 1
-                    else:
-                        cur[j][m] = max(prev[j][m], cur[j - 1][m], cur[j][m - 1])
-            prev = cur
-        return prev[n][n]
-    first = strings[0]
-    rest = strings[1:]
-    for length in range(n, 0, -1):
-        for combo in itertools.combinations(first, length):
-            if all(_is_subsequence(combo, s) for s in rest):
-                return length
-    return 0
-
-
-def _is_subsequence(sub: Sequence[int], s: Sequence[int]) -> bool:
-    it = iter(s)
-    return all(c in it for c in sub)
+    _check_permutations(strings)
+    pos = [{c: i for i, c in enumerate(s)} for s in strings]
+    longest: dict[int, int] = {}
+    for c in strings[0]:
+        before = [longest[d] for d in longest if all(p[d] < p[c] for p in pos)]
+        longest[c] = 1 + max(before, default=0)
+    return max(longest.values())

@@ -1,12 +1,13 @@
 """Deletion sets to order preservation.
 
 min_opvd finds a minimum vertex set whose removal makes the instance order
-preserving. The search is iterative-deepening DFS. At every node the current
-reduced instance is re-recognized; when it is not order preserving, the
-branching set is an inclusion-minimal vertex set whose *induced sub-instance*
-is itself not order preserving. Order preservation is hereditary under taking
-induced sub-instances (restrict an agreeing representation), so every valid
-deletion set must meet every such set: branching on its members is complete.
+preserving. The search is one loop over deletion-set sizes: a level whose
+sets all fail grows each set by one vertex of its branching set, an
+inclusion-minimal vertex set whose *induced sub-instance* is itself not
+order preserving. Order preservation is hereditary under taking induced
+sub-instances (restrict an agreeing representation), so every valid
+deletion set must meet every such set: level d holds every minimum deletion
+set of size d.
 
 Branching on a minimal non-C1P column subset of the pooled clique matrix
 would NOT be complete: cliques must be re-extracted after a deletion (a
@@ -19,10 +20,9 @@ All recognitions are memoized by deletion set and ask only for the
 decision (`witness=False`): the column witness is never read here, so each
 costs one PQ-tree run. The branching witness is shrunk by QuickXplain
 (intervals.shrink_witness), which finds the set a one-vertex-at-a-time pass
-would, with O(w log(n/w)) recognitions for a w-vertex witness. The first
-successful depth collects every minimum before tie-breaking, so the
-returned set is the lexicographically smallest minimum regardless of
-exploration order.
+would, with O(w log(n/w)) recognitions for a w-vertex witness. Because each
+level is checked in lexicographic order, the returned set is the
+lexicographically smallest minimum whichever witness a set branches on.
 """
 
 from __future__ import annotations
@@ -119,52 +119,40 @@ def min_opvd(
 ) -> OpvdResult:
     """Minimum deletion set to order preservation (unit instances only).
 
-    With `candidates`, only subsets of that vertex set are considered,
-    enumerated smallest-cardinality-first then lexicographically. Otherwise
-    the witness-branching search runs. Ties always go to the
-    lexicographically smallest vertex-index set. Raises BudgetExceeded when
-    no set within `budget` exists (or, with candidates, none within them).
+    One loop over deletion-set sizes: each level is checked in
+    lexicographic order and the first order-preserving set is returned, so
+    ties go to the lexicographically smallest vertex-index set. A set that
+    fails grows by each vertex of its hereditary witness, or with
+    `candidates` by each pool vertex it lacks, so level d then holds every
+    d-subset of the pool. Raises BudgetExceeded when no set within `budget`
+    exists (or, with candidates, none within them).
     """
     ensure_unit(inst)
     cache = _RecognitionCache(inst)
-    if cache.is_op(frozenset()):
-        return cache.result_for(frozenset())
-
-    if candidates is not None:
-        pool = sorted(inst.vertex_set(candidates))
-        top = len(pool) if budget is None else min(budget, len(pool))
-        for d in range(1, top + 1):
-            for combo in itertools.combinations(pool, d):
-                dels = frozenset(combo)
-                if cache.is_op(dels):
-                    return cache.result_for(dels)
-        raise BudgetExceeded(
-            f"no deletion set of size <= {top} within the candidate set"
-        )
-
-    n = inst.n
-    top = n if budget is None else min(budget, n)
-    for depth in range(1, top + 1):
-        found: list[frozenset[int]] = []
-        visited: set[frozenset[int]] = set()
-
-        def dfs(dels: frozenset[int], remaining: int) -> None:
-            if dels in visited:
-                return
-            visited.add(dels)
+    pool = None if candidates is None else inst.vertex_set(candidates)
+    top = inst.n if pool is None else len(pool)
+    if budget is not None:
+        top = min(budget, top)
+    level: list[frozenset[int]] = [frozenset()]
+    size = 0
+    while True:
+        for dels in level:
             if cache.is_op(dels):
-                found.append(dels)
-                return
-            if remaining == 0:
-                return
-            for v in _hereditary_witness(cache, dels):
-                dfs(dels | {v}, remaining - 1)
-
-        dfs(frozenset(), depth)
-        if found:
-            best = min(found, key=lambda s: tuple(sorted(s)))
-            return cache.result_for(best)
-    raise BudgetExceeded(f"no deletion set of size <= {top}")
+                return cache.result_for(dels)
+        if size >= top:
+            scope = "" if pool is None else " within the candidate set"
+            raise BudgetExceeded(f"no deletion set of size <= {top}{scope}")
+        level = sorted(
+            {
+                dels | {v}
+                for dels in level
+                for v in (
+                    _hereditary_witness(cache, dels) if pool is None else pool - dels
+                )
+            },
+            key=sorted,
+        )
+        size += 1
 
 
 def opvd_exhaustive(

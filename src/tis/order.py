@@ -40,14 +40,18 @@ from .model import InternalError, IntervalModel, TemporalIntervalInstance
 @dataclass(frozen=True)
 class OrderPreservationReport:
     """Recognition outcome. `ordering` is a common right-endpoint order when
-    order preserving; otherwise `witness` is an inclusion-minimal vertex set
-    whose pooled clique-matrix columns are non-C1P (a certificate that no
-    common ordering exists, though not in general a set meeting every
-    minimum deletion set), or None when recognition ran without one."""
+    order preserving, and None otherwise; then `witness` is an
+    inclusion-minimal vertex set whose pooled clique-matrix columns are
+    non-C1P (a certificate that no common ordering exists, though not in
+    general a set meeting every minimum deletion set), or None when
+    recognition ran without one."""
 
-    is_order_preserving: bool
-    ordering: Optional[REOrdering] = None
-    witness: Optional[tuple[int, ...]] = None
+    ordering: Optional[REOrdering]
+    witness: Optional[tuple[int, ...]]
+
+    @property
+    def is_order_preserving(self) -> bool:
+        return self.ordering is not None
 
 
 def pooled_clique_matrix(inst: TemporalIntervalInstance) -> CliqueMatrix:
@@ -89,7 +93,7 @@ def recognize_order_preserving(
     matrix = pooled_clique_matrix(inst)
     res = c1p_test(matrix, witness=witness)
     if not res.is_c1p:
-        return OrderPreservationReport(False, None, res.witness)
+        return OrderPreservationReport(None, res.witness)
     ordering = REOrdering(res.ordering)
     for t in range(1, inst.tau + 1):
         try:
@@ -98,7 +102,7 @@ def recognize_order_preserving(
             raise InternalError(
                 f"C1P ordering disagrees with layer {t}: {exc}"
             ) from exc
-    return OrderPreservationReport(True, ordering, None)
+    return OrderPreservationReport(ordering, None)
 
 
 def conflict_interval_model(

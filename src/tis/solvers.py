@@ -192,10 +192,8 @@ def solve_fpt(
     s_set = inst.vertex_set(deletion_set)
     reduced = remove_vertices(inst, s_set)
     rep = recognize_order_preserving(reduced, witness=False)
-    if not rep.is_order_preserving:
-        raise ValueError("deletion set does not leave an order-preserving instance")
     if rep.ordering is None:
-        raise InternalError("order-preserving report carries no ordering")
+        raise ValueError("deletion set does not leave an order-preserving instance")
     model = conflict_interval_model(reduced, rep.ordering, semantics)
     keep = [v for v in range(inst.n) if v not in s_set]
     g = conflict_graph(inst, semantics)
@@ -239,10 +237,8 @@ def solve(
         return solve_greedy(inst, semantics)
     if alg == "op":
         rep = recognize_order_preserving(inst, witness=False)
-        if not rep.is_order_preserving:
-            return None
         if rep.ordering is None:
-            raise InternalError("order-preserving report carries no ordering")
+            return None
         return solve_exact_op(inst, rep.ordering, semantics)
     if alg == "fpt":
         if deletion_set is None:

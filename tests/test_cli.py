@@ -174,6 +174,14 @@ class TestOpvd:
         assert r.stdout == ""
         assert "--budget" in r.stderr
 
+    def test_exact_mode_honours_budget(self, run_cli):
+        r = run_cli("opvd", f"{DATA}/two_layer_path.tis", "--exact", "--budget", "0")
+        assert r.returncode == 1
+        assert r.stdout == "BUDGET-EXCEEDED budget=0\n"
+        r = run_cli("opvd", f"{DATA}/two_layer_path.tis", "--exact", "--budget", "1")
+        assert r.returncode == 0
+        assert r.stdout == "size=1\nset=v1\nordering=v2,v3,v4,v5,v6\n"
+
     def test_exact_mode(self, run_cli):
         r = run_cli("opvd", f"{DATA}/pooled_trap.tis", "--exact")
         assert r.returncode == 0

@@ -1,7 +1,10 @@
+import itertools
+import random
 from pathlib import Path
 
 import pytest
 
+import oracles
 import tis
 import tis.intervals
 import tis.opvd
@@ -79,6 +82,36 @@ class TestCandidates:
         assert free.size == restricted.size
 
 
+def _restricted_minimum(inst, pool, budget):
+    """The smallest, then lexicographically first, subset of `pool` within
+    `budget` leaving a common ordering; None when there is none."""
+    top = len(pool) if budget is None else min(budget, len(pool))
+    for d in range(top + 1):
+        for combo in itertools.combinations(sorted(pool), d):
+            left = remove_vertices(inst, combo)
+            if oracles.common_ordering_exists(left) is not None:
+                return frozenset(combo)
+    return None
+
+
+class TestCandidatesAgainstEnumeration:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_restricted_enumeration(self, seed):
+        rng = random.Random(7100 + seed)
+        n = rng.randint(5, 8)
+        inst = tis.gen_random_unit(n, 2, 1, 0, seed=seed, spread=2)
+        # large pools, so that minima of size 2 with ties are common
+        pool = [] if seed % 5 == 0 else rng.sample(range(n), rng.randint(n // 2, n))
+        for budget in (None, 0, 1):
+            want = _restricted_minimum(inst, pool, budget)
+            if want is None:
+                with pytest.raises(BudgetExceeded):
+                    min_opvd(inst, budget=budget, candidates=pool)
+            else:
+                res = min_opvd(inst, budget=budget, candidates=pool)
+                assert res.deletion_set == want
+
+
 class TestExhaustive:
     def test_matches_branching_search(self, opvd_corpus):
         for inst in opvd_corpus[:40]:
@@ -95,15 +128,14 @@ class TestExhaustive:
 
 class TestResult:
     def test_missing_ordering_is_internal_error(self, two_layer_path):
-        for rep in (
-            OrderPreservationReport(False),
-            OrderPreservationReport(True, None),
-        ):
-            with pytest.raises(InternalError):
-                tis.opvd._result(two_layer_path, frozenset({0}), rep)
+        rep = OrderPreservationReport(None, None)
+        assert not rep.is_order_preserving
+        with pytest.raises(InternalError):
+            tis.opvd._result(two_layer_path, frozenset({0}), rep)
 
     def test_ordering_in_original_indices(self, two_layer_path):
-        rep = OrderPreservationReport(True, REOrdering((4, 0, 2, 1, 3)))
+        rep = OrderPreservationReport(REOrdering((4, 0, 2, 1, 3)), None)
+        assert rep.is_order_preserving
         res = tis.opvd._result(two_layer_path, frozenset({1}), rep)
         assert res == OpvdResult(frozenset({1}), 1, (5, 0, 3, 2, 4))
 
@@ -112,8 +144,6 @@ class TestDeletionValidity:
     def test_result_always_minimum(self, opvd_corpus):
         # every strictly smaller set must fail; spot-check via subsets of
         # the found set plus exhaustive confirmation on small instances
-        import itertools
-
         for inst in opvd_corpus[:15]:
             res = min_opvd(inst)
             left = remove_vertices(inst, res.deletion_set)
