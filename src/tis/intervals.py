@@ -37,6 +37,7 @@ from .model import (
     Solution,
     StaticGraph,
     TemporalIntervalInstance,
+    dense_index,
 )
 from .pqtree import c1p_order, check_consecutive
 
@@ -264,8 +265,12 @@ def _interval_schedule(model: IntervalModel, weights: Sequence[int]) -> list[int
 # -- maximal cliques ---------------------------------------------------------
 
 
-def maximal_cliques(model: IntervalModel) -> list[frozenset[int]]:
-    """Maximal cliques of the model's graph, ordered by sweep position.
+def maximal_cliques(
+    model: IntervalModel, *, skip: frozenset[int] = frozenset()
+) -> list[frozenset[int]]:
+    """Maximal cliques of the model's graph, ordered by sweep position; with
+    `skip`, those of the model without these vertices, in survivor indices
+    (the cliques of `model.restrict(survivors)`, see induced_graph).
 
     Every maximal clique of an interval graph shows up as the set K_p of
     intervals covering some right endpoint p (the smallest right endpoint in
@@ -277,27 +282,36 @@ def maximal_cliques(model: IntervalModel) -> list[frozenset[int]]:
     K_q: no duplicate and no non-maximal set is emitted. When nothing
     entered, K_p is a proper subset of the previous point's set. So the
     emitted sets are the maximal cliques, each charged to a distinct
-    interval, in O(n log n) comparisons plus the output size.
+    interval, in O(n log n) comparisons plus the output size. The sweep
+    runs on the model's endpoint ranks and passes over skipped vertices, so
+    the covering set sees the same additions and removals as a sweep of the
+    restricted model.
     """
-    ivs = model.intervals
-    n = len(ivs)
-    by_left = sorted(range(n), key=lambda v: ivs[v][0])
-    by_right = sorted(range(n), key=lambda v: ivs[v][1])
+    left, right, by_left, by_right = model.ranks()
+    idx = dense_index(model.n, skip)
+    n = len(by_left)
     out: list[frozenset[int]] = []
     active: set[int] = set()
     entering = leaving = 0
+    last = -1
     for i, v in enumerate(by_right):
-        p = ivs[v][1]
-        if i and ivs[by_right[i - 1]][1] == p:
-            continue  # one candidate per distinct right endpoint
+        p = right[v]
+        if v in skip or p == last:
+            continue  # one candidate per distinct surviving right endpoint
+        last = p
         while leaving < i:  # by_right[:i] are the intervals ending before p
-            active.remove(by_right[leaving])
+            u = by_right[leaving]
+            if u not in skip:
+                active.remove(idx[u])
             leaving += 1
-        start = entering
-        while entering < n and ivs[by_left[entering]][0] <= p:
-            active.add(by_left[entering])
+        grew = False
+        while entering < n and left[by_left[entering]] <= p:
+            u = by_left[entering]
+            if u not in skip:
+                active.add(idx[u])
+                grew = True
             entering += 1
-        if entering > start:
+        if grew:
             out.append(frozenset(active))
     return out
 
@@ -568,12 +582,15 @@ def _unit_lefts_realize(
 def ensure_unit(inst: TemporalIntervalInstance) -> None:
     """Refuse instances that do not carry (and, in edges mode, survive) the
     unit declaration. Model-mode lengths were verified at construction; an
-    edges-mode declaration is verified here layer by layer."""
+    edges-mode declaration is verified here layer by layer, on the first
+    call only: the instance is immutable, and unit interval graphs are
+    hereditary, so the verdict also holds for every induced sub-instance."""
     if not inst.unit_flag:
         raise NotUnitError("operation requires a unit instance (unit flag false)")
-    if inst.mode == "edges":
+    if inst.mode == "edges" and not inst._unit_verified:
         for t in range(1, inst.tau + 1):
             if not recognize_unit_interval(inst.layer_graph(t)).ok:
                 raise NotUnitError(
                     f"unit declared but layer {t} is not a unit interval graph"
                 )
+        object.__setattr__(inst, "_unit_verified", True)

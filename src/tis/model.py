@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Rational = Fraction
 
@@ -169,6 +169,55 @@ def edge_union(g1: StaticGraph, g2: StaticGraph) -> StaticGraph:
     return StaticGraph(g1.n, g1.edges | g2.edges)
 
 
+class EndpointRanks(NamedTuple):
+    """A model's endpoints replaced by their ranks among its distinct
+    endpoint values. Left and right ends are ranked together, so two ranks
+    compare exactly as their endpoints do and touching ends share a rank;
+    every sweep only compares endpoints, so it runs on these small ints.
+    `by_left` and `by_right` list the vertices by (left, vertex) and by
+    (right, vertex): the two sweep orders."""
+
+    left: list[int]
+    right: list[int]
+    by_left: list[int]
+    by_right: list[int]
+
+
+def _rank_endpoints(intervals: Sequence[tuple[Fraction, Fraction]]) -> EndpointRanks:
+    ends = [x for iv in intervals for x in iv]  # vertex v's ends at 2v, 2v + 1
+    order = sorted(range(len(ends)), key=ends.__getitem__)  # stable: ties by v
+    rank = [0] * len(ends)
+    r, prev = -1, None
+    for i in order:
+        if r < 0 or ends[i] != prev:
+            r += 1
+            prev = ends[i]
+        rank[i] = r
+    return EndpointRanks(
+        rank[0::2],
+        rank[1::2],
+        [i >> 1 for i in order if not i & 1],
+        [i >> 1 for i in order if i & 1],
+    )
+
+
+def dense_index(n: int, skip: frozenset[int]) -> Sequence[int]:
+    """Each vertex's index once the vertices in `skip` are deleted from
+    0..n-1 and the survivors re-indexed densely in ascending order (entries
+    of skipped vertices are meaningless)."""
+    if not skip:
+        return range(n)
+    idx = [-1] * n
+    i = 0
+    for v in range(n):
+        if v not in skip:
+            idx[v] = i
+            i += 1
+    if i + len(skip) != n:
+        raise ValueError(f"skip set holds vertices outside 0..{n - 1}")
+    return idx
+
+
 class IntervalModel:
     """Closed intervals [left, right] with exact rational endpoints, one per vertex.
 
@@ -176,7 +225,7 @@ class IntervalModel:
     intersect; touching endpoints intersect.
     """
 
-    __slots__ = ("intervals",)
+    __slots__ = ("intervals", "_ranks")
 
     def __init__(self, intervals: Iterable[tuple[Fraction, Fraction]]):
         ivs = []
@@ -187,6 +236,7 @@ class IntervalModel:
                 raise ValueError(f"empty interval [{lo}, {hi}]")
             ivs.append((lo, hi))
         object.__setattr__(self, "intervals", tuple(ivs))
+        object.__setattr__(self, "_ranks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntervalModel is immutable")
@@ -206,25 +256,40 @@ class IntervalModel:
         lv, rv = self.intervals[v]
         return max(lu, lv) <= min(ru, rv)
 
-    def induced_graph(self) -> StaticGraph:
-        """Sweep by left endpoint: an interval meets a later-starting one
-        exactly when that one starts by its right endpoint, so each walk
-        stops at the first start beyond it. O(n log n + m) comparisons.
-        The pairs are handed over sorted, so the graph's sets are built
-        in the same order as by a pairwise scan."""
-        ivs = self.intervals
-        n = len(ivs)
-        by_left = sorted(range(n), key=lambda v: ivs[v][0])
+    def ranks(self) -> EndpointRanks:
+        """The integer rank encoding of the endpoints, built on first use
+        and kept: the model is immutable."""
+        if self._ranks is None:
+            object.__setattr__(self, "_ranks", _rank_endpoints(self.intervals))
+        return self._ranks
+
+    def induced_graph(self, *, skip: frozenset[int] = frozenset()) -> StaticGraph:
+        """The model's graph; with `skip`, the graph of the model without
+        those vertices, survivors re-indexed densely in ascending order (the
+        graph of `restrict(survivors)`).
+
+        Sweep by left endpoint on the ranks: an interval meets a
+        later-starting one exactly when that one starts by its right
+        endpoint, so each walk stops at the first start beyond it. O(n log
+        n + m) comparisons. The pairs are handed over sorted, so the graph's
+        sets are built in the same order as by a pairwise scan."""
+        left, right, by_left, _ = self.ranks()
+        idx = dense_index(self.n, skip)
+        n = len(by_left)
         edges = []
         for i, u in enumerate(by_left):
-            right = ivs[u][1]
+            if u in skip:
+                continue
+            a, end = idx[u], right[u]
             for k in range(i + 1, n):
                 v = by_left[k]
-                if ivs[v][0] > right:
+                if left[v] > end:
                     break
-                edges.append((u, v) if u < v else (v, u))
+                if v not in skip:
+                    b = idx[v]
+                    edges.append((a, b) if a < b else (b, a))
         edges.sort()
-        return StaticGraph(n, edges)
+        return StaticGraph(n - len(skip), edges)
 
     def restrict(self, keep: Sequence[int]) -> "IntervalModel":
         return IntervalModel(self.intervals[v] for v in keep)
@@ -255,7 +320,7 @@ class TemporalIntervalInstance:
     Layers are interval models (mode 'model') or explicit edge lists (mode
     'edges'). `unit_flag` declares that all intervals within each layer share
     one length; in model mode this is verified at construction, in edges mode
-    it is a declaration that unit-dependent operations verify lazily.
+    it is a declaration that unit-dependent operations verify lazily, once.
     """
 
     __slots__ = (
@@ -269,6 +334,7 @@ class TemporalIntervalInstance:
         "layers",
         "_name_to_index",
         "_layer_cache",
+        "_unit_verified",
     )
 
     def __init__(
@@ -336,6 +402,9 @@ class TemporalIntervalInstance:
             self, "_name_to_index", {name: i for i, name in enumerate(names)}
         )
         object.__setattr__(self, "_layer_cache", [None] * tau)
+        # Set by intervals.ensure_unit once an edges-mode unit declaration
+        # has been verified: the instance is immutable, so it stays true.
+        object.__setattr__(self, "_unit_verified", False)
 
     def __setattr__(self, name, value):
         raise AttributeError("TemporalIntervalInstance is immutable")
@@ -367,11 +436,21 @@ class TemporalIntervalInstance:
             raise InternalError(f"model-mode layer {t} holds no interval model")
         return layer
 
-    def layer_graph(self, t: int) -> StaticGraph:
-        """The static graph of layer t (1-based); derived and cached in model mode."""
+    def layer_graph(self, t: int, *, skip: frozenset[int] = frozenset()) -> StaticGraph:
+        """The static graph of layer t (1-based); derived and cached in model
+        mode. With `skip`, the layer graph of the instance without those
+        vertices, survivors re-indexed densely in ascending order (the layer
+        graph of remove_vertices(self, skip)), built afresh each call."""
         if not 1 <= t <= self.tau:
             raise InstanceError(f"layer index {t} out of [1, {self.tau}]")
         layer = self.layers[t - 1]
+        if skip:
+            if isinstance(layer, IntervalModel):
+                return layer.induced_graph(skip=skip)
+            keep = [v for v in range(self.n) if v not in skip]
+            if len(keep) + len(skip) != self.n:
+                raise ValueError(f"skip set holds vertices outside 0..{self.n - 1}")
+            return layer.induced(keep)
         if isinstance(layer, StaticGraph):
             return layer
         cached = self._layer_cache[t - 1]

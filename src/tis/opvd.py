@@ -16,13 +16,18 @@ single vertex outside the minimal column witness is a valid deletion set
 while the witness itself induces an order-preserving sub-instance. The test
 suite carries such an instance as a regression fixture.
 
-All recognitions are memoized by deletion set and ask only for the
-decision (`witness=False`): the column witness is never read here, so each
-costs one PQ-tree run. The branching witness is shrunk by QuickXplain
-(intervals.shrink_witness), which finds the set a one-vertex-at-a-time pass
-would, with O(w log(n/w)) recognitions for a w-vertex witness. Because each
-level is checked in lexicographic order, the returned set is the
-lexicographically smallest minimum whichever witness a set branches on.
+All recognitions are memoized by deletion set and ask only for the decision
+(`witness=False`): the column witness is never read here, so each costs one
+PQ-tree run. No reduced instance is built: each recognition runs on the
+instance itself with the deletion set passed as `deleted`, and its sweeps
+pass over those vertices (see order.recognize_order_preserving).
+opvd_exhaustive, the reference the search is tested against, still builds
+every reduced instance with remove_vertices. The branching witness is shrunk
+by QuickXplain (intervals.shrink_witness), which finds the set a
+one-vertex-at-a-time pass would, with O(w log(n/w)) recognitions for a
+w-vertex witness. Because each level is checked in lexicographic order, the
+returned set is the lexicographically smallest minimum whichever witness a
+set branches on.
 """
 
 from __future__ import annotations
@@ -84,9 +89,7 @@ class _RecognitionCache:
     def report(self, dels: frozenset[int]) -> OrderPreservationReport:
         hit = self.cache.get(dels)
         if hit is None:
-            hit = recognize_order_preserving(
-                remove_vertices(self.inst, dels), witness=False
-            )
+            hit = recognize_order_preserving(self.inst, witness=False, deleted=dels)
             self.cache[dels] = hit
         return hit
 

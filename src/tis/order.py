@@ -6,6 +6,10 @@ pooled vertices-vs-maximal-cliques matrix having the consecutive ones
 property, which is how recognition works here; any C1P column order makes
 every maximal clique of every layer a contiguous block, and a contiguous
 clique cover forces the per-layer agreement condition directly.
+Recognition also answers for the instance minus a deleted vertex set
+without building that instance: the clique and layer-graph sweeps run on
+each layer's cached integer endpoint ranks and pass over the deleted
+vertices.
 
 On an order-preserving instance the conflict graph itself is an interval
 graph: normalize every layer to the common ordering, intersect the models
@@ -18,13 +22,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .conflict import WindowSemantics, window_plan
 from .intervals import (
     CliqueMatrix,
     CliqueRow,
-    OrderingIncompatible,
     REOrdering,
     c1p_test,
     ensure_unit,
@@ -32,9 +35,10 @@ from .intervals import (
     maximal_cliques,
     maximal_cliques_abstract,
     normalized_model_for,
+    ordering_agrees,
     union_models,
 )
-from .model import InternalError, IntervalModel, TemporalIntervalInstance
+from .model import InternalError, IntervalModel, TemporalIntervalInstance, VertexRef
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,12 @@ class OrderPreservationReport:
         return self.ordering is not None
 
 
-def pooled_clique_matrix(inst: TemporalIntervalInstance) -> CliqueMatrix:
-    """Maximal cliques of every layer, pooled and deduplicated.
+def pooled_clique_matrix(
+    inst: TemporalIntervalInstance, *, deleted: frozenset[int] = frozenset()
+) -> CliqueMatrix:
+    """Maximal cliques of every layer of inst - deleted (vertex indices),
+    pooled and deduplicated, over the survivors re-indexed densely in
+    ascending order.
 
     Rows are tagged with the first layer they came from and kept in
     (layer, sweep position) order. Edges-mode layers must be interval graphs
@@ -65,24 +73,34 @@ def pooled_clique_matrix(inst: TemporalIntervalInstance) -> CliqueMatrix:
     seen: set[frozenset[int]] = set()
     for t in range(1, inst.tau + 1):
         if inst.mode == "model":
-            cliques = maximal_cliques(inst.layer_model(t))
+            cliques = maximal_cliques(inst.layer_model(t), skip=deleted)
         else:
-            cliques = maximal_cliques_abstract(inst.layer_graph(t))
+            cliques = maximal_cliques_abstract(inst.layer_graph(t, skip=deleted))
         for K in cliques:
             if K not in seen:
                 seen.add(K)
                 rows.append(CliqueRow(K, t))
-    return CliqueMatrix(tuple(rows), inst.n)
+    return CliqueMatrix(tuple(rows), inst.n - len(deleted))
 
 
 def recognize_order_preserving(
-    inst: TemporalIntervalInstance, *, witness: bool = True
+    inst: TemporalIntervalInstance,
+    *,
+    witness: bool = True,
+    deleted: Iterable[VertexRef] = (),
 ) -> OrderPreservationReport:
-    """Recognize order preservation of a unit instance via the pooled
-    clique matrix.
+    """Recognize order preservation of the unit instance inst - deleted via
+    the pooled clique matrix.
 
-    On success the returned ordering is re-verified constructively: every
-    layer must normalize to it (an internal error otherwise, since a
+    The report is the one for `remove_vertices(inst, deleted)`: ordering
+    and witness are over the survivors re-indexed densely in ascending
+    order. No reduced instance is built: the clique and layer-graph sweeps
+    pass over the deleted vertices. The unit declaration is checked on inst
+    itself, which covers inst - deleted because unit interval graphs are
+    hereditary.
+
+    On success the returned ordering is re-verified against every layer of
+    inst - deleted by ordering_agrees (an internal error otherwise, since a
     contiguous clique arrangement always agrees). A negative answer carries
     the minimal column witness, or None with `witness=False`, which skips
     the shrink: callers that only need the decision pass it. Non-unit
@@ -90,18 +108,18 @@ def recognize_order_preserving(
     is not offered.
     """
     ensure_unit(inst)
-    matrix = pooled_clique_matrix(inst)
+    deleted = inst.vertex_set(deleted)
+    matrix = pooled_clique_matrix(inst, deleted=deleted)
     res = c1p_test(matrix, witness=witness)
     if not res.is_c1p:
         return OrderPreservationReport(None, res.witness)
     ordering = REOrdering(res.ordering)
     for t in range(1, inst.tau + 1):
-        try:
-            normalized_model_for(inst.layer_graph(t), ordering)
-        except OrderingIncompatible as exc:
+        pair = ordering_agrees(inst.layer_graph(t, skip=deleted), ordering)
+        if pair is not None:
             raise InternalError(
-                f"C1P ordering disagrees with layer {t}: {exc}"
-            ) from exc
+                f"C1P ordering disagrees with layer {t}: violating pair {pair}"
+            )
     return OrderPreservationReport(ordering, None)
 
 

@@ -209,19 +209,37 @@ models = st.builds(
 )
 
 
+def survivors(m, drop):
+    """A skip set drawn as any subset of 0..13, cut to the model, and the
+    intervals left once it is deleted."""
+    skip = frozenset(v for v in drop if v < m.n)
+    return skip, [iv for v, iv in enumerate(m.intervals) if v not in skip]
+
+
 class TestSweepKernels:
     """The sweeps against the pairwise definitions, on models with mixed
-    lengths, shared and touching endpoints."""
+    lengths, shared and touching endpoints, with skip sets from none to
+    every vertex."""
 
     @settings(max_examples=300, deadline=None)
-    @given(m=models)
-    def test_induced_graph_matches_pairwise_scan(self, m):
-        assert set(m.induced_graph().edges) == oracles.model_edge_set(m.intervals)
+    @given(m=models, drop=st.sets(st.integers(0, 13)))
+    def test_induced_graph_matches_pairwise_scan(self, m, drop):
+        skip, ivs = survivors(m, drop)
+        g = m.induced_graph(skip=skip)
+        assert g.n == len(ivs)
+        assert set(g.edges) == oracles.model_edge_set(ivs)
 
     @settings(max_examples=300, deadline=None)
-    @given(m=models)
-    def test_maximal_cliques_match_point_scan_in_order(self, m):
-        assert maximal_cliques(m) == oracles.maximal_cliques_by_points(m.intervals)
+    @given(m=models, drop=st.sets(st.integers(0, 13)))
+    def test_maximal_cliques_match_point_scan_in_order(self, m, drop):
+        skip, ivs = survivors(m, drop)
+        assert maximal_cliques(m, skip=skip) == oracles.maximal_cliques_by_points(ivs)
+
+    def test_skip_outside_the_model_refused(self):
+        m = model((0, 1), (2, 3))
+        for sweep in (m.induced_graph, lambda skip: maximal_cliques(m, skip=skip)):
+            with pytest.raises(ValueError):
+                sweep(skip=frozenset({2}))
 
 
 class TestOrderingAgrees:

@@ -212,3 +212,38 @@ class TestWitnessFreeRecognition:
         assert bare.is_order_preserving == full.is_order_preserving
         assert bare.ordering == full.ordering
         assert bare.witness is None
+
+
+def counting(monkeypatch, module, name):
+    """Count the calls made through `module.name`, still calling through."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestInPlaceRecognition:
+    """min_opvd recognizes inst - D on inst itself: no reduced instance is
+    built, and an edges-mode unit declaration is verified once."""
+
+    def test_builds_no_reduced_instance(self, monkeypatch):
+        inst = tis.parse_instance((DATA / "planted_n20.tis").read_text())
+        calls = counting(monkeypatch, tis.opvd, "remove_vertices")
+        assert min_opvd(inst).size == 2
+        assert calls == []
+
+    def test_edges_mode_unit_check_runs_once(self, monkeypatch):
+        src = tis.parse_instance((DATA / "planted_n20.tis").read_text())
+        graphs = [src.layer_graph(t) for t in range(1, src.tau + 1)]
+        inst = tis.TemporalIntervalInstance(
+            src.names, src.weights, src.tau, src.delta, src.k, "edges", graphs, True
+        )
+        calls = counting(monkeypatch, tis.intervals, "recognize_unit_interval")
+        res = min_opvd(inst)
+        assert res.deletion_set == min_opvd(src).deletion_set
+        assert 0 < len(calls) <= inst.tau

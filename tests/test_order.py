@@ -1,10 +1,14 @@
+from fractions import Fraction as F
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import tis
 from tis.conflict import WindowSemantics, conflict_graph
 from tis.intervals import c1p_test
-from tis.model import remove_vertices
+from tis.model import IntervalModel, TemporalIntervalInstance, remove_vertices
 from tis.order import (
     conflict_interval_model,
     pooled_clique_matrix,
@@ -54,12 +58,10 @@ class TestRecognition:
 
     def test_failed_reverification_is_internal_error(self, op_corpus, monkeypatch):
         # a C1P ordering that some layer rejects is a library bug, not bad input
-        def reject(g, ordering):
-            raise tis.OrderingIncompatible("planted", pair=(0, 1))
-
-        monkeypatch.setattr(tis.order, "normalized_model_for", reject)
-        with pytest.raises(tis.InternalError):
-            recognize_order_preserving(op_corpus[0])
+        monkeypatch.setattr(tis.order, "ordering_agrees", lambda g, ordering: (0, 1))
+        for deleted in ((), (0, 2)):
+            with pytest.raises(tis.InternalError):
+                recognize_order_preserving(op_corpus[0], deleted=deleted)
 
     def test_deleting_v4_makes_it_order_preserving(self, two_layer_path):
         rep = recognize_order_preserving(remove_vertices(two_layer_path, ["v4"]))
@@ -84,6 +86,49 @@ class TestRecognition:
     def test_single_vertex_trivially_preserving(self, single_vertex):
         rep = recognize_order_preserving(single_vertex)
         assert rep.is_order_preserving
+
+
+@st.composite
+def instances_with_deletions(draw):
+    """Unit instances with lefts on a half-integer grid, so that endpoints
+    tie and touch, in model mode or as an edges-mode copy, with a deleted
+    set from none to every vertex."""
+    n = draw(st.integers(1, 8))
+    tau = draw(st.integers(1, 3))
+    lefts = st.lists(st.integers(0, n), min_size=n, max_size=n)
+    layers = [
+        IntervalModel((F(x, 2), F(x, 2) + 1) for x in draw(lefts)) for _ in range(tau)
+    ]
+    names = [f"v{i}" for i in range(n)]
+    inst = TemporalIntervalInstance(names, [1] * n, tau, 1, 0, "model", layers, True)
+    if draw(st.booleans()):
+        graphs = [inst.layer_graph(t) for t in range(1, tau + 1)]
+        inst = TemporalIntervalInstance(names, [1] * n, tau, 1, 0, "edges", graphs, True)
+    return inst, draw(st.sets(st.integers(0, n - 1)))
+
+
+class TestDeletedSet:
+    """Recognizing inst - D in place reports what recognizing the rebuilt
+    reduced instance reports."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=instances_with_deletions(), witness=st.booleans())
+    def test_matches_remove_vertices(self, case, witness):
+        inst, deleted = case
+        got = recognize_order_preserving(inst, witness=witness, deleted=deleted)
+        want = recognize_order_preserving(
+            remove_vertices(inst, deleted), witness=witness
+        )
+        assert got == want
+
+    def test_names_and_indices_agree(self, two_layer_path):
+        by_name = recognize_order_preserving(two_layer_path, deleted=["v1"])
+        assert by_name == recognize_order_preserving(two_layer_path, deleted={0})
+        assert by_name.is_order_preserving
+
+    def test_unknown_vertex_refused(self, two_layer_path):
+        with pytest.raises(tis.InstanceError):
+            recognize_order_preserving(two_layer_path, deleted={two_layer_path.n})
 
 
 class TestPooledTrapRegression:
