@@ -77,16 +77,12 @@ def conflict_graph(
 
 @dataclass(frozen=True)
 class IndependenceReport:
-    """Outcome of the direct delta-independence check.
-
-    When independent, `witnesses` lists one layer per (pair, window) where the
-    pair is non-adjacent (pairs already non-adjacent in the conflict graph are
-    fully covered too). When not, `violation` names a (u, v, window_start)
-    whose window contains the pair in every layer.
+    """Outcome of the direct delta-independence check. When not independent,
+    `violation` names the first (u, v, window_start), in pair and window
+    order, whose window contains the pair in every layer.
     """
 
     independent: bool
-    witnesses: tuple[tuple[int, int, int, int], ...] = ()
     violation: Optional[tuple[int, int, int]] = None
 
 
@@ -106,18 +102,16 @@ def delta_independence_check(
     plan = window_plan(inst.tau, inst.delta, semantics)
     windows = [(start, plan.layers(start)) for start in plan.starts]
     layers = {t: inst.layer_graph(t) for _, ts in windows for t in ts}
-    witnesses: list[tuple[int, int, int, int]] = []
     for a, u in enumerate(S[:-1]):
         nbrs = {t: g.neighbors(u) for t, g in layers.items()}
         for v in S[a + 1 :]:
             for start, ts in windows:
                 for t in ts:
                     if v not in nbrs[t]:
-                        witnesses.append((u, v, start, t))
                         break
                 else:
-                    return IndependenceReport(False, (), (u, v, start))
-    return IndependenceReport(True, tuple(witnesses), None)
+                    return IndependenceReport(False, (u, v, start))
+    return IndependenceReport(True)
 
 
 def neighborhood_is_bound_check(

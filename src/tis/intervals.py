@@ -3,18 +3,18 @@
 Maximum-weight independent set on interval models, the canonical tie break
 shared with the exact solver, maximal clique enumeration (geometric and
 abstract), consecutive-ones testing with minimal witnesses,
-unit-interval recognition with model synthesis, and the right-endpoint
-ordering algebra: normalization of a model to an ordering, and intersection /
-union of models normalized to a common ordering.
+unit-interval recognition with model synthesis, and normalization of a graph
+to an agreeing right-endpoint ordering.
 
 A vertex ordering `agrees` with a graph when the graph has an interval model
 whose right endpoints appear in exactly that order. That holds iff, for every
 vertex, its neighbors at earlier positions occupy a contiguous block of
 positions ending immediately before it (checked by `ordering_agrees`).
 Normalizing to an agreeing ordering puts right(v) at v's 1-based position and
-left(v) at the smallest position among the vertices sharing a clique with v,
-which makes intersection and union of two layers pointwise max / min on the
-left endpoints.
+left(v) at the smallest position among the vertices sharing a clique with v.
+Graphs normalized to one ordering share their right endpoints, so the edge
+intersection (union) of any of them is modelled by the pointwise max (min) of
+their left endpoints; order.conflict_interval_model folds the layers that way.
 
 The canonical optimum is the lexicographically smallest maximum-weight set.
 `canonical_optimum` gets it from one optimizer run on perturbed integer
@@ -28,7 +28,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
     InternalError,
@@ -84,35 +84,6 @@ class REOrdering:
 
 
 @dataclass(frozen=True)
-class CliqueRow:
-    """One row of a clique matrix: a maximal clique tagged with its layer."""
-
-    vertices: frozenset[int]
-    layer: int
-
-
-@dataclass(frozen=True)
-class CliqueMatrix:
-    """Binary matrix, rows = maximal cliques pooled over layers, columns = vertices."""
-
-    rows: tuple[CliqueRow, ...]
-    ncols: int
-
-    def row_sets(self) -> list[frozenset[int]]:
-        return [r.vertices for r in self.rows]
-
-    def debug_format(self, names: Sequence[str]) -> str:
-        """Human-readable dump: column header with vertex names, then one
-        0/1 line per row."""
-        lines = [" ".join(names)]
-        for row in self.rows:
-            lines.append(
-                "".join("1" if v in row.vertices else "0" for v in range(self.ncols))
-            )
-        return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
 class C1PResult:
     """Either a column ordering making every row consecutive, or an
     inclusion-minimal column subset whose submatrix has no such ordering
@@ -126,28 +97,18 @@ class C1PResult:
         return self.ordering is not None
 
 
-MatrixLike = Union[CliqueMatrix, Sequence[Iterable[int]]]
-
-
-def _as_rows(m: MatrixLike, ncols: int | None) -> tuple[list[frozenset[int]], int]:
-    if isinstance(m, CliqueMatrix):
-        return m.row_sets(), m.ncols
-    if ncols is None:
-        raise ValueError("ncols is required for a raw row list")
-    return [frozenset(row) for row in m], ncols
-
-
 def c1p_test(
-    m: MatrixLike, ncols: int | None = None, *, witness: bool = True
+    rows: Sequence[frozenset[int]], ncols: int, *, witness: bool = True
 ) -> C1PResult:
-    """Consecutive-ones test with a verified ordering or a minimal witness.
+    """Consecutive-ones test of the 0/1 matrix whose rows are the given
+    column sets over columns 0..ncols-1, with a verified ordering or a
+    minimal witness.
 
     The consecutive ones property is hereditary under column deletion, so
     shrink_witness yields an inclusion-minimal non-C1P column subset. With
     `witness=False` a negative answer carries witness None and costs one
     PQ-tree run instead of the shrink's probes; a positive answer is
     verified either way."""
-    rows, ncols = _as_rows(m, ncols)
     order = c1p_order(rows, ncols)
     if order is not None:
         if not check_consecutive(rows, order):
@@ -427,41 +388,6 @@ def normalized_model_for(g: StaticGraph, ordering: REOrdering) -> IntervalModel:
         lo = min(lo, j)
         intervals[v] = (Fraction(lo + 1), Fraction(j + 1))
     return IntervalModel(intervals)
-
-
-def normalize_to_ordering(model: IntervalModel, ordering: REOrdering) -> IntervalModel:
-    """Normalized form of a model along an agreeing ordering; the normalized
-    model induces the same graph. Raises OrderingIncompatible (with the
-    violating pair) when the model's graph does not agree."""
-    return normalized_model_for(model.induced_graph(), ordering)
-
-
-def _require_normalized_pair(m1: IntervalModel, m2: IntervalModel) -> None:
-    if m1.n != m2.n:
-        raise ValueError("model sizes differ")
-    for v in range(m1.n):
-        if m1.right(v) != m2.right(v):
-            raise ValueError(
-                f"inputs not normalized to one ordering: right endpoints of "
-                f"vertex {v} differ ({m1.right(v)} vs {m2.right(v)})"
-            )
-
-
-def intersect_models(m1: IntervalModel, m2: IntervalModel) -> IntervalModel:
-    """Model of the edge-intersection of two graphs normalized to one
-    ordering: per vertex [max(l1, l2), shared right endpoint]."""
-    _require_normalized_pair(m1, m2)
-    return IntervalModel(
-        (max(m1.left(v), m2.left(v)), m1.right(v)) for v in range(m1.n)
-    )
-
-
-def union_models(m1: IntervalModel, m2: IntervalModel) -> IntervalModel:
-    """Model of the edge-union: per vertex [min(l1, l2), shared right endpoint]."""
-    _require_normalized_pair(m1, m2)
-    return IntervalModel(
-        (min(m1.left(v), m2.left(v)), m1.right(v)) for v in range(m1.n)
-    )
 
 
 # -- unit-interval recognition -----------------------------------------------

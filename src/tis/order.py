@@ -13,30 +13,25 @@ vertices.
 
 On an order-preserving instance the conflict graph itself is an interval
 graph: normalize every layer to the common ordering, intersect the models
-inside each window and union across windows (intersect_models and
-union_models). conflict_interval_model performs that fold.
+inside each window and union across windows. Normalized models share their
+right endpoints, so conflict_interval_model folds only the left endpoints:
+the min over windows of the max over the window's layers.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from .conflict import WindowSemantics, window_plan
 from .intervals import (
-    CliqueMatrix,
-    CliqueRow,
     REOrdering,
     c1p_test,
     ensure_unit,
-    intersect_models,
     maximal_cliques,
     maximal_cliques_abstract,
     normalized_model_for,
     ordering_agrees,
-    union_models,
 )
 from .model import InternalError, IntervalModel, TemporalIntervalInstance, VertexRef
 
@@ -60,16 +55,17 @@ class OrderPreservationReport:
 
 def pooled_clique_matrix(
     inst: TemporalIntervalInstance, *, deleted: frozenset[int] = frozenset()
-) -> CliqueMatrix:
+) -> list[frozenset[int]]:
     """Maximal cliques of every layer of inst - deleted (vertex indices),
     pooled and deduplicated, over the survivors re-indexed densely in
-    ascending order.
+    ascending order: the rows of the matrix whose columns are the
+    inst.n - len(deleted) survivors.
 
-    Rows are tagged with the first layer they came from and kept in
-    (layer, sweep position) order. Edges-mode layers must be interval graphs
-    (NotIntervalError otherwise).
+    Rows are kept in (layer, sweep position) order of first appearance; the
+    PQ-tree reads them in that order. Edges-mode layers must be interval
+    graphs (NotIntervalError otherwise).
     """
-    rows: list[CliqueRow] = []
+    rows: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
     for t in range(1, inst.tau + 1):
         if inst.mode == "model":
@@ -79,8 +75,8 @@ def pooled_clique_matrix(
         for K in cliques:
             if K not in seen:
                 seen.add(K)
-                rows.append(CliqueRow(K, t))
-    return CliqueMatrix(tuple(rows), inst.n - len(deleted))
+                rows.append(K)
+    return rows
 
 
 def recognize_order_preserving(
@@ -109,8 +105,8 @@ def recognize_order_preserving(
     """
     ensure_unit(inst)
     deleted = inst.vertex_set(deleted)
-    matrix = pooled_clique_matrix(inst, deleted=deleted)
-    res = c1p_test(matrix, witness=witness)
+    rows = pooled_clique_matrix(inst, deleted=deleted)
+    res = c1p_test(rows, inst.n - len(deleted), witness=witness)
     if not res.is_c1p:
         return OrderPreservationReport(None, res.witness)
     ordering = REOrdering(res.ordering)
@@ -131,9 +127,10 @@ def conflict_interval_model(
     """Interval model of the conflict graph along a common agreeing ordering.
 
     The union over windows of the intersection of each window's normalized
-    layers, starting from the edgeless normalized model (left = right =
-    position). With no windows (formula semantics at delta = tau) that
-    edgeless model is the answer.
+    layers: right(v) is v's position, left(v) the min over windows of the
+    max over the window's layers of the normalized left(v). With no windows
+    (formula semantics at delta = tau) the conflict graph is edgeless and
+    left(v) = right(v).
     """
     if ordering.n != inst.n:
         raise ValueError("ordering size does not match instance")
@@ -141,14 +138,10 @@ def conflict_interval_model(
         normalized_model_for(inst.layer_graph(t), ordering)
         for t in range(1, inst.tau + 1)
     ]
-    model = IntervalModel(
-        (Fraction(ordering.position(v)), Fraction(ordering.position(v)))
-        for v in range(inst.n)
-    )
     plan = window_plan(inst.tau, inst.delta, semantics)
-    for start in plan.starts:
-        window = functools.reduce(
-            intersect_models, (layers[t - 1] for t in plan.layers(start))
-        )
-        model = union_models(model, window)
-    return model
+    windows = [[layers[t - 1] for t in plan.layers(start)] for start in plan.starts]
+    positions = [ordering.position(v) for v in range(inst.n)]
+    return IntervalModel(
+        (min((max(m.left(v) for m in w) for w in windows), default=p), p)
+        for v, p in enumerate(positions)
+    )

@@ -77,6 +77,19 @@ def test_criterion_04_neighborhood_independence_cap(weighted_corpus):
             assert tis.neighborhood_is_bound_check(inst, v)
 
 
+def with_delta(inst, delta):
+    return tis.TemporalIntervalInstance(
+        inst.names,
+        inst.weights,
+        inst.tau,
+        delta,
+        inst.k,
+        inst.mode,
+        inst.layers,
+        inst.unit_flag,
+    )
+
+
 def test_criterion_05_model_algebra_closure():
     cases = 0
     seed = 0
@@ -84,10 +97,13 @@ def test_criterion_05_model_algebra_closure():
         inst = tis.gen_order_preserving(3 + seed % 6, 2, 1, 0, seed=20000 + seed)
         seed += 1
         rep = tis.recognize_order_preserving(inst)
-        m1 = tis.normalize_to_ordering(inst.layer_model(1), rep.ordering)
-        m2 = tis.normalize_to_ordering(inst.layer_model(2), rep.ordering)
-        inter = tis.intersect_models(m1, m2)
-        union = tis.union_models(m1, m2)
+        m1 = tis.normalized_model_for(inst.layer_graph(1), rep.ordering)
+        m2 = tis.normalized_model_for(inst.layer_graph(2), rep.ordering)
+        # one window of both layers at delta = 2, one per layer at delta = 1
+        inter, union = (
+            tis.conflict_interval_model(with_delta(inst, delta), rep.ordering)
+            for delta in (2, 1)
+        )
         g1 = oracles.model_edge_set(m1.intervals)
         g2 = oracles.model_edge_set(m2.intervals)
         assert oracles.model_edge_set(inter.intervals) == g1 & g2

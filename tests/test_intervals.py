@@ -7,25 +7,21 @@ from hypothesis import strategies as st
 
 import oracles
 from tis.intervals import (
-    CliqueMatrix,
-    CliqueRow,
     NotIntervalError,
     OrderingIncompatible,
     REOrdering,
     _bron_kerbosch,
     c1p_test,
-    intersect_models,
     maximal_cliques,
     maximal_cliques_abstract,
     mwis_interval,
-    normalize_to_ordering,
     normalized_model_for,
     ordering_agrees,
     recognize_unit_interval,
     shrink_witness,
-    union_models,
 )
-from tis.model import IntervalModel, StaticGraph
+from tis.model import IntervalModel, StaticGraph, TemporalIntervalInstance
+from tis.order import conflict_interval_model
 
 
 def model(*pairs):
@@ -331,18 +327,6 @@ class TestC1P:
                 smaller = [r & (w - {drop}) for r in rows]
                 assert oracles.c1p_by_subset_dp(smaller, ncols)
 
-    def test_accepts_clique_matrix_type(self):
-        m = CliqueMatrix(
-            rows=(
-                CliqueRow(vertices=frozenset({0, 1}), layer=1),
-                CliqueRow(vertices=frozenset({1, 2}), layer=1),
-            ),
-            ncols=3,
-        )
-        res = c1p_test(m)
-        assert res.is_c1p
-        assert "0 1" not in m.debug_format(("a", "b", "c"))  # header uses names
-
 
 class TestUnitRecognition:
     def test_edgeless_graph(self):
@@ -421,7 +405,7 @@ class TestNormalization:
             m = IntervalModel(tuple(ivs))
             g = m.induced_graph()
             order = sorted(range(n), key=lambda v: (m.intervals[v][1], v))
-            norm = normalize_to_ordering(m, REOrdering(tuple(order)))
+            norm = normalized_model_for(g, REOrdering(tuple(order)))
             assert norm.induced_graph() == g
             pos = {v: i + 1 for i, v in enumerate(order)}
             for v in range(n):
@@ -441,7 +425,12 @@ class TestNormalization:
 
 
 class TestModelAlgebra:
-    def _normalized_pair(self, rng, n):
+    """Two layers normalized to one ordering share their right endpoints;
+    the conflict model of the two-layer instance is their edge intersection
+    at delta = 2 (one window of both layers) and their edge union at
+    delta = 1 (one window per layer)."""
+
+    def _unit_pair(self, rng, n):
         order = list(range(n))
         rng.shuffle(order)
         models = []
@@ -453,45 +442,49 @@ class TestModelAlgebra:
                 rights[v] = r
             ivs = [(rights[v] - 1, rights[v]) for v in range(n)]
             models.append(IntervalModel(tuple(ivs)))
-        sigma = REOrdering(tuple(order))
-        return (
-            normalize_to_ordering(models[0], sigma),
-            normalize_to_ordering(models[1], sigma),
-            models,
-            sigma,
+        return models, REOrdering(tuple(order))
+
+    def _intersect_and_union(self, layers, sigma):
+        n = layers[0].n
+        names = [f"v{i}" for i in range(n)]
+        return tuple(
+            conflict_interval_model(
+                TemporalIntervalInstance(
+                    names, [1] * n, 2, delta, 0, "model", layers, True
+                ),
+                sigma,
+            )
+            for delta in (2, 1)
         )
 
     def test_idempotence(self):
         rng = random.Random(7)
-        m1, _, _, _ = self._normalized_pair(rng, 5)
-        assert intersect_models(m1, m1).intervals == m1.intervals
-        assert union_models(m1, m1).intervals == m1.intervals
+        (raw, _), sigma = self._unit_pair(rng, 5)
+        m1 = normalized_model_for(raw.induced_graph(), sigma)
+        inter, union = self._intersect_and_union((raw, raw), sigma)
+        assert inter.intervals == m1.intervals
+        assert union.intervals == m1.intervals
 
     def test_intersection_and_union_graphs(self):
         rng = random.Random(1234)
         for _ in range(120):
             n = rng.randint(1, 9)
-            m1, m2, raw, sigma = self._normalized_pair(rng, n)
+            raw, sigma = self._unit_pair(rng, n)
             e1 = oracles.model_edge_set(raw[0].intervals)
             e2 = oracles.model_edge_set(raw[1].intervals)
-            mi = intersect_models(m1, m2)
-            mu = union_models(m1, m2)
+            mi, mu = self._intersect_and_union(raw, sigma)
             assert oracles.model_edge_set(mi.intervals) == (e1 & e2)
             assert oracles.model_edge_set(mu.intervals) == (e1 | e2)
 
     def test_union_identity_element(self):
         rng = random.Random(8)
-        m1, _, _, sigma = self._normalized_pair(rng, 6)
-        # an edgeless normalized model has left = right = position
-        n = 6
-        pos = {v: i + 1 for i, v in enumerate(sigma.order)}
-        ident = IntervalModel(
-            tuple((F(pos[v]), F(pos[v])) for v in range(n))
+        (raw, _), sigma = self._unit_pair(rng, 6)
+        m1 = normalized_model_for(raw.induced_graph(), sigma)
+        # disjoint unit intervals in sigma's order: an edgeless layer, whose
+        # normalized model has left = right = position
+        pos = {v: i for i, v in enumerate(sigma.order)}
+        edgeless = IntervalModel(
+            tuple((F(2 * pos[v]), F(2 * pos[v] + 1)) for v in range(6))
         )
-        assert union_models(m1, ident).intervals == m1.intervals
-
-    def test_rejects_unnormalized_pairs(self):
-        m1 = model((0, 1), (1, 2))
-        m2 = model((0, 2), (1, 3))
-        with pytest.raises(ValueError):
-            intersect_models(m1, m2)
+        _, union = self._intersect_and_union((raw, edgeless), sigma)
+        assert union.intervals == m1.intervals

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import oracles
 import tis
 from tis.conflict import WindowSemantics, conflict_graph
-from tis.intervals import c1p_test
+from tis.intervals import c1p_test, maximal_cliques, maximal_cliques_abstract
 from tis.model import IntervalModel, TemporalIntervalInstance, remove_vertices
 from tis.order import (
     conflict_interval_model,
@@ -16,12 +16,19 @@ from tis.order import (
 )
 
 
+def edges_copy(inst):
+    graphs = [inst.layer_graph(t) for t in range(1, inst.tau + 1)]
+    return TemporalIntervalInstance(
+        inst.names, inst.weights, inst.tau, inst.delta, inst.k, "edges", graphs, True
+    )
+
+
 class TestPooledMatrix:
     def test_rows_are_per_layer_maximal_cliques(self, two_layer_path):
         m = pooled_clique_matrix(two_layer_path)
-        # layer 1 is the path: its maximal cliques are the five edges
-        layer1_rows = {r.vertices for r in m.rows if r.layer == 1}
-        assert layer1_rows == {
+        # layer 1 is the path: its maximal cliques are the five edges, and
+        # they come first
+        assert set(m[:5]) == {
             frozenset({0, 1}),
             frozenset({1, 2}),
             frozenset({2, 3}),
@@ -29,19 +36,26 @@ class TestPooledMatrix:
             frozenset({4, 5}),
         }
 
-    def test_duplicates_keep_first_layer_tag(self, two_layer_path):
-        m = pooled_clique_matrix(two_layer_path)
-        tags = {}
-        for r in m.rows:
-            assert r.vertices not in tags
-            tags[r.vertices] = r.layer
-        # the shared edge v1v2 appears in both layers, tagged with layer 1
-        assert tags[frozenset({0, 1})] == 1
+    def test_rows_are_layer_cliques_in_first_seen_order(self, small_corpus):
+        # the rows are the PQ-tree's input, so their order decides the
+        # printed orderings
+        cases = [c for inst in small_corpus[:40] for c in (inst, edges_copy(inst))]
+        for inst in cases:
+            for deleted in (frozenset(), frozenset(range(0, inst.n, 3))):
+                cliques = []
+                for t in range(1, inst.tau + 1):
+                    if inst.mode == "model":
+                        cliques += maximal_cliques(inst.layer_model(t), skip=deleted)
+                    else:
+                        layer = inst.layer_graph(t, skip=deleted)
+                        cliques += maximal_cliques_abstract(layer)
+                got = pooled_clique_matrix(inst, deleted=deleted)
+                assert got == list(dict.fromkeys(cliques))
 
     def test_isolated_vertex_forms_singleton_row(self):
         inst = tis.gen_random_unit(1, 2, 1, 0, seed=0)
         m = pooled_clique_matrix(inst)
-        assert {r.vertices for r in m.rows} == {frozenset({0})}
+        assert set(m) == {frozenset({0})}
 
 
 class TestRecognition:
@@ -53,7 +67,7 @@ class TestRecognition:
         # witness columns are genuinely non-C1P in the pooled matrix
         m = pooled_clique_matrix(two_layer_path)
         keep = set(rep.witness)
-        sub = [r.vertices & keep for r in m.rows]
+        sub = [r & keep for r in m]
         assert not oracles.c1p_by_subset_dp(sub, two_layer_path.n)
 
     def test_failed_reverification_is_internal_error(self, op_corpus, monkeypatch):
@@ -74,7 +88,9 @@ class TestRecognition:
             assert rep.is_order_preserving
             # the ordering's normalized models re-induce every layer
             for t in range(1, inst.tau + 1):
-                norm = tis.normalize_to_ordering(inst.layer_model(t), rep.ordering)
+                norm = tis.normalized_model_for(
+                    inst.layer_model(t).induced_graph(), rep.ordering
+                )
                 assert norm.induced_graph() == inst.layer_graph(t)
 
     def test_agrees_with_ordering_search(self, small_corpus):
@@ -151,7 +167,7 @@ class TestPooledTrapRegression:
         # cliques leaves stale non-maximal rows and a false negative
         m = pooled_clique_matrix(pooled_trap)
         s = pooled_trap.vertex_index("s")
-        stale = [r.vertices - {s} for r in m.rows]
+        stale = [r - {s} for r in m]
         assert not c1p_test(stale, pooled_trap.n).is_c1p
 
     def test_min_opvd_still_finds_size_one(self, pooled_trap):
