@@ -251,11 +251,6 @@ class IntervalModel:
     def right(self, v: int) -> Fraction:
         return self.intervals[v][1]
 
-    def intersects(self, u: int, v: int) -> bool:
-        lu, ru = self.intervals[u]
-        lv, rv = self.intervals[v]
-        return max(lu, lv) <= min(ru, rv)
-
     def ranks(self) -> EndpointRanks:
         """The integer rank encoding of the endpoints, built on first use
         and kept: the model is immutable."""

@@ -25,9 +25,16 @@ opvd_exhaustive, the reference the search is tested against, still builds
 every reduced instance with remove_vertices. The branching witness is shrunk
 by QuickXplain (intervals.shrink_witness), which finds the set a
 one-vertex-at-a-time pass would, with O(w log(n/w)) recognitions for a
-w-vertex witness. Because each level is checked in lexicographic order, the
-returned set is the lexicographically smallest minimum whichever witness a
-set branches on.
+w-vertex witness.
+
+Witnesses are reused. By heredity a witness found for one deletion set is a
+witness for every set that misses it: such a set is not order preserving,
+and it may branch on that witness, since branching needs only some
+non-order-preserving vertex set disjoint from it. So min_opvd stores every
+witness it shrinks. Only a set that meets every stored witness is
+recognized, and only such a set, when it fails, is shrunk to a new one.
+Because each level is checked in lexicographic order, the returned set is
+the lexicographically smallest minimum whichever witness a set branches on.
 """
 
 from __future__ import annotations
@@ -125,10 +132,12 @@ def min_opvd(
     One loop over deletion-set sizes: each level is checked in
     lexicographic order and the first order-preserving set is returned, so
     ties go to the lexicographically smallest vertex-index set. A set that
-    fails grows by each vertex of its hereditary witness, or with
-    `candidates` by each pool vertex it lacks, so level d then holds every
-    d-subset of the pool. Raises BudgetExceeded when no set within `budget`
-    exists (or, with candidates, none within them).
+    fails grows by each vertex of a hereditary witness: the first stored
+    witness it misses (such a set is skipped, not recognized), else a new
+    one shrunk from it and stored. With `candidates` a set grows by each
+    pool vertex it lacks, so level d then holds every d-subset of the pool.
+    Raises BudgetExceeded when no set within `budget` exists (or, with
+    candidates, none within them).
     """
     ensure_unit(inst)
     cache = _RecognitionCache(inst)
@@ -136,24 +145,31 @@ def min_opvd(
     top = inst.n if pool is None else len(pool)
     if budget is not None:
         top = min(budget, top)
+    witnesses: list[frozenset[int]] = []
+
+    def missed(dels: frozenset[int]) -> Optional[frozenset[int]]:
+        return next((w for w in witnesses if w.isdisjoint(dels)), None)
+
+    def branching(dels: frozenset[int]) -> frozenset[int]:
+        if pool is not None:
+            return pool - dels
+        found = missed(dels)
+        if found is None:
+            found = frozenset(_hereditary_witness(cache, dels))
+            witnesses.append(found)
+        return found
+
     level: list[frozenset[int]] = [frozenset()]
     size = 0
     while True:
         for dels in level:
-            if cache.is_op(dels):
+            if missed(dels) is None and cache.is_op(dels):
                 return cache.result_for(dels)
         if size >= top:
             scope = "" if pool is None else " within the candidate set"
             raise BudgetExceeded(f"no deletion set of size <= {top}{scope}")
         level = sorted(
-            {
-                dels | {v}
-                for dels in level
-                for v in (
-                    _hereditary_witness(cache, dels) if pool is None else pool - dels
-                )
-            },
-            key=sorted,
+            {dels | {v} for dels in level for v in branching(dels)}, key=sorted
         )
         size += 1
 

@@ -14,7 +14,7 @@ costs the size of the tree rather than of the row, and c1p_order is
 quadratic in the columns even when every row is small (the nested rows
 {0..i} took 22.5 s at 3,000 columns, Python 3.11.7). Booth and Lueker's
 bubble phase, with parent pointers, would remove that cost; ROADMAP.md lists
-it as open item 4, "A PQ-tree reduce that touches only the pertinent
+it as open item 2, "A PQ-tree reduce that touches only the pertinent
 subtree". Every walk runs on an explicit stack or a breadth-first list,
 never by recursion: nested rows make the tree as deep as the matrix is wide.
 """

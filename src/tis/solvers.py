@@ -29,6 +29,7 @@ from .conflict import (
     IndependenceReport,
     WindowSemantics,
     conflict_graph,
+    conflict_neighbors,
     delta_independence_check,
 )
 from .intervals import REOrdering, _interval_schedule, canonical_optimum, mwis_interval
@@ -181,13 +182,14 @@ def solve_fpt(
 ) -> Solution:
     """Exact solve parameterized by a deletion set S to order preservation.
 
-    Builds the conflict interval model of inst - S once. For each of the
-    2^|S| subsets X of S that are independent in the conflict graph, the
-    interval-scheduling DP runs on that model restricted to the survivors
-    not conflicting with X; the best X plus remainder wins. This is the
-    maximizer of one canonical_optimum call, so the answer is the canonical
-    optimum. Requires inst - S to be order preserving. Runtime is
-    exponential only in |S|.
+    Builds the conflict interval model of inst - S once, and reads the
+    conflict neighbours of S from the layer graphs rather than building the
+    all-pairs conflict graph. For each of the 2^|S| subsets X of S that are
+    independent in the conflict graph, the interval-scheduling DP runs on
+    that model restricted to the survivors not conflicting with X; the best
+    X plus remainder wins. This is the maximizer of one canonical_optimum
+    call, so the answer is the canonical optimum. Requires inst - S to be
+    order preserving. Runtime is exponential only in |S|.
     """
     s_set = inst.vertex_set(deletion_set)
     reduced = remove_vertices(inst, s_set)
@@ -196,14 +198,14 @@ def solve_fpt(
         raise ValueError("deletion set does not leave an order-preserving instance")
     model = conflict_interval_model(reduced, rep.ordering, semantics)
     keep = [v for v in range(inst.n) if v not in s_set]
-    g = conflict_graph(inst, semantics)
     s_sorted = sorted(s_set)
+    nbrs = conflict_neighbors(inst, s_sorted, semantics)
 
     def maximize(weights: list[int]) -> list[int]:
         best, best_set = -1, []
         for mask in range(1 << len(s_sorted)):
             x = [v for i, v in enumerate(s_sorted) if mask >> i & 1]
-            blocked = set().union(*map(g.neighbors, x))
+            blocked = set().union(*(nbrs[v] for v in x))
             if blocked.intersection(x):
                 continue
             rest = [i for i, v in enumerate(keep) if v not in blocked]

@@ -316,11 +316,10 @@ def greedy_by_definition(
 
 def independence_report(
     inst: TemporalIntervalInstance, selected: Iterable[int], semantics: str = "figure"
-) -> tuple[bool, tuple[tuple[int, int, int, int], ...], Optional[tuple[int, int, int]]]:
-    """(independent, witnesses, violation) from the window definition: for
-    each pair of selected vertices in order and each window, the first layer
-    of the window missing the pair's edge, or the first pair and window
-    with the edge in every layer."""
+) -> tuple[bool, Optional[tuple[int, int, int]]]:
+    """(independent, violation) from the window definition: the first pair
+    of selected vertices in order and window, (u, v, window start), with the
+    pair's edge in every layer of the window, or None when there is none."""
     if semantics == "figure":
         length = min(inst.delta, inst.tau)
         starts = range(1, inst.tau - length + 2)
@@ -329,11 +328,8 @@ def independence_report(
         starts = range(1, inst.tau - inst.delta + 1)
     per_layer = [layer_edge_set(inst, t) for t in range(1, inst.tau + 1)]
     chosen = sorted(set(selected))
-    witnesses = []
     for u, v in itertools.combinations(chosen, 2):
         for s in starts:
-            free = [t for t in range(s, s + length) if (u, v) not in per_layer[t - 1]]
-            if not free:
-                return (False, (), (u, v, s))
-            witnesses.append((u, v, s, free[0]))
-    return (True, tuple(witnesses), None)
+            if all((u, v) in per_layer[t - 1] for t in range(s, s + length)):
+                return (False, (u, v, s))
+    return (True, None)

@@ -60,10 +60,8 @@ def test_edge_set_operations():
 
 def test_interval_model_queries():
     m = IntervalModel(((F(0), F(1)), (F(1), F(2)), (F(5, 2), F(7, 2))))
-    assert m.intersects(0, 1)  # touching endpoints count
-    assert not m.intersects(0, 2)
-    g = m.induced_graph()
-    assert g.edges == frozenset({(0, 1)})
+    # touching endpoints count: 0 meets 1, and 2 is disjoint from 0
+    assert m.induced_graph().edges == frozenset({(0, 1)})
     assert m.is_unit_length()
     assert not IntervalModel(((F(0), F(2)), (F(0), F(1)))).is_unit_length()
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -247,3 +248,74 @@ class TestInPlaceRecognition:
         res = min_opvd(inst)
         assert res.deletion_set == min_opvd(src).deletion_set
         assert 0 < len(calls) <= inst.tau
+
+
+def lcs_gadget(m):
+    """The LCS gadget of the identity and two random permutations of 1..m."""
+    rng = random.Random(1)
+    perms = [list(range(1, m + 1))] + [rng.sample(range(1, m + 1), m) for _ in range(2)]
+    return tis.gen_lcsp_gadget(perms)
+
+
+class TestWitnessReuse:
+    """min_opvd stores every witness it shrinks; a set that misses a stored
+    witness is neither recognized nor shrunk, and the output is the one the
+    search without reuse returns."""
+
+    # deletion set and a digest of the ordering, as returned before reuse
+    GADGETS = {
+        5: ({0, 1, 2, 3}, "52c4234daaa14104"),
+        6: ({1, 3, 4, 5}, "027e4f52aa9fd563"),
+        7: ({0, 1, 2, 3, 4}, "ff14333e7d253c4f"),
+        8: ({0, 1, 2, 3, 6, 7}, "5d6e6797fde98f6c"),
+    }
+
+    @pytest.mark.parametrize("m", sorted(GADGETS))
+    def test_gadget_outputs_unchanged(self, m, monkeypatch):
+        inst = lcs_gadget(m)
+        calls = counting(monkeypatch, tis.opvd, "recognize_order_preserving")
+        res = min_opvd(inst)
+        dels, digest = self.GADGETS[m]
+        ordering = ",".join(map(str, res.ordering)).encode()
+        assert res.deletion_set == frozenset(dels)
+        assert hashlib.sha256(ordering).hexdigest()[:16] == digest
+        if m == 8:
+            # 2,816 recognitions without reuse
+            assert len(calls) <= 700
+
+    @staticmethod
+    def _logged_search(inst, monkeypatch):
+        """Run min_opvd, logging its recognitions and its new witnesses in
+        the order they happen."""
+        log = []
+        recognize = tis.opvd.recognize_order_preserving
+        shrink = tis.opvd.shrink_witness
+
+        def logged_recognize(inst, **kwargs):
+            log.append(("recognize", frozenset(kwargs["deleted"])))
+            return recognize(inst, **kwargs)
+
+        def logged_shrink(items, fails):
+            found = shrink(items, fails)
+            log.append(("witness", frozenset(found)))
+            return found
+
+        monkeypatch.setattr(tis.opvd, "recognize_order_preserving", logged_recognize)
+        monkeypatch.setattr(tis.opvd, "shrink_witness", logged_shrink)
+        return min_opvd(inst), log
+
+    def test_no_recognized_set_misses_a_stored_witness(self, opvd_corpus, monkeypatch):
+        cases = opvd_corpus[:60] + [
+            tis.parse_instance((DATA / "planted_n20.tis").read_text()),
+            lcs_gadget(5),
+        ]
+        for inst in cases:
+            res, log = self._logged_search(inst, monkeypatch)
+            stored = []
+            for kind, vertices in log:
+                if kind == "recognize":
+                    assert all(w & vertices for w in stored)
+                else:
+                    assert vertices not in stored
+                    stored.append(vertices)
+            assert all(w & res.deletion_set for w in stored)
