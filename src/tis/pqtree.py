@@ -7,16 +7,28 @@ represented orderings to those placing S consecutively; a matrix has the
 consecutive ones property iff the tree survives reduction by every row.
 
 This is the classic template scheme (leaf / P / Q templates, with the P and
-Q cases split by position relative to the pertinent root). Each reduction
-walks the pertinent subtree bottom-up. There is no bubble pass: pertinent
-leaf counts are recomputed over the whole tree for every row, so a reduction
-costs the size of the tree rather than of the row, and c1p_order is
-quadratic in the columns even when every row is small (the nested rows
-{0..i} took 22.5 s at 3,000 columns, Python 3.11.7). Booth and Lueker's
-bubble phase, with parent pointers, would remove that cost; ROADMAP.md lists
-it as open item 2, "A PQ-tree reduce that touches only the pertinent
-subtree". Every walk runs on an explicit stack or a breadth-first list,
-never by recursion: nested rows make the tree as deep as the matrix is wide.
+Q cases split by position relative to the pertinent root), driven by Booth
+and Lueker's bubble phase (JCSS 13, 1976). Every node knows its parent and
+the tree knows the leaf of each column. A reduction walks up from the row's
+leaves until the walks have merged into one, collecting at each node the
+children with row leaves below (its pertinent children). It then labels the
+nodes bottom-up, each as soon as all its pertinent children are labelled,
+and applies the node's template to those children alone; the first node
+whose subtree holds the whole row is the pertinent root. A reduction thus
+costs its pertinent subtree plus one index scan of each touched child list
+(to find the pertinent children's positions and rebuild the list); a
+non-root Q node needs no scan, since its pertinent span must reach an end.
+Untouched subtrees are never visited, and only the touched nodes have their
+per-reduction fields reset.
+
+The cost is bound by the input, not by the tree: c1p_order takes about
+0.1 s on the path matrix {c, c+1} of 10,000 columns. The nested rows
+{0..i} stay slow because the input is large: at 3,000 columns they hold
+4.5 M entries, the templates grow a chain of full P nodes, and each
+pertinent subtree has about |S| nodes, 6-9 s in all (Python 3.11.7, on a
+shared 2-core machine).
+Every walk runs on an explicit list, never by recursion: nested rows make
+the tree as deep as the matrix is wide.
 """
 
 from __future__ import annotations
@@ -28,15 +40,27 @@ from .model import InternalError
 EMPTY, FULL, PARTIAL = 0, 1, 2
 _FAIL = -1
 
+# Below this many pertinent children a node finds their positions with one
+# list.index each (a C-level scan); from it on, one Python pass over the
+# child list is cheaper.
+_FEW = 8
+
 
 class _Node:
-    __slots__ = ("kind", "children", "col", "count")
+    __slots__ = ("kind", "children", "col", "parent", "count", "labelled", "label", "pert")
 
     def __init__(self, kind: str, children: list["_Node"] | None = None, col: int = -1):
         self.kind = kind  # 'L' leaf, 'P', 'Q'
         self.children = children if children is not None else []
         self.col = col
-        self.count = 0  # leaves of the current reduction's row below
+        self.parent: Optional[_Node] = None
+        for ch in self.children:
+            ch.parent = self
+        # Per-reduction fields, back at these values between reductions.
+        self.count = 0  # row leaves below
+        self.labelled = 0  # pertinent children labelled so far
+        self.label = EMPTY
+        self.pert: Optional[list[_Node]] = None  # pertinent children, unordered
 
 
 def _group(nodes: list[_Node]) -> _Node:
@@ -45,17 +69,23 @@ def _group(nodes: list[_Node]) -> _Node:
     return nodes[0] if len(nodes) == 1 else _Node("P", nodes)
 
 
+def _adopt(node: _Node, children: Iterable[_Node]) -> None:
+    for ch in children:
+        ch.parent = node
+
+
 class PQTree:
     """PQ-tree over a fixed column universe, supporting successive reductions."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
+        self.leaves = [_Node("L", col=c) for c in range(ncols)]
         if ncols == 0:
             self.root: Optional[_Node] = None
         elif ncols == 1:
-            self.root = _Node("L", col=0)
+            self.root = self.leaves[0]
         else:
-            self.root = _Node("P", [_Node("L", col=c) for c in range(ncols)])
+            self.root = _Node("P", list(self.leaves))
 
     # -- queries -------------------------------------------------------------
 
@@ -83,207 +113,208 @@ class PQTree:
         does; the tree must not be used further after a failed reduction.
         """
         S = frozenset(row)
-        if not S.issubset(range(self.ncols)):
-            raise ValueError(f"row {sorted(S)} not within 0..{self.ncols - 1}")
+        for c in S:
+            if not (isinstance(c, int) and 0 <= c < self.ncols):
+                raise ValueError(f"row {sorted(S)} not within 0..{self.ncols - 1}")
         if len(S) <= 1 or len(S) == self.ncols:
             return True
-
-        self._count(S)
-
-        # Descend to the pertinent root: the deepest node whose subtree
-        # contains all of S.
-        node, parent = self.root, None
-        total = len(S)
-        while True:
-            carrier = [c for c in node.children if c.count == total]
-            if len(carrier) == 1 and carrier[0].kind != "L":
-                node, parent = carrier[0], node
-            else:
-                break
-
-        ok = self._apply(node) != _FAIL
-        if ok:
-            self._splice_single(node, parent)
-        return ok
+        leaves = [self.leaves[c] for c in S]
+        touched = self._bubble(leaves)
+        try:
+            labelled = self._label(leaves, len(S))
+            if labelled is None:
+                return False
+            self._splice_single(labelled)
+            return True
+        finally:
+            for node in touched:
+                node.count = node.labelled = 0
+                node.label = EMPTY
+                node.pert = None
 
     @staticmethod
-    def _subtree(top: _Node) -> tuple[list[_Node], list[Optional[_Node]]]:
-        """The nodes of top's subtree in breadth-first order (so every node
-        comes after its parent), and the parent of each (None for top)."""
-        nodes = [top]
-        parents: list[Optional[_Node]] = [None]
-        for node in nodes:
-            if node.children:
-                nodes += node.children
-                parents += [node] * len(node.children)
-        return nodes, parents
-
-    def _count(self, S: frozenset[int]) -> None:
-        """Set every node's count to the number of S-leaves below it."""
-        for node in reversed(self._subtree(self.root)[0]):
-            if node.kind == "L":
-                node.count = 1 if node.col in S else 0
+    def _bubble(leaves: list[_Node]) -> list[_Node]:
+        """Walk up from the row's leaves, breadth first, appending each node
+        to its parent's pertinent children, until one walk is left: a node
+        whose subtree holds every leaf of the row. A walk that meets a node
+        already reached ends there. A walk above the pertinent root takes at
+        most as many steps as the walks below it, since the queue serves
+        them in turn. Returns the leaves and every node reached: the nodes
+        whose per-reduction fields the reduction sets."""
+        queue = list(leaves)
+        touched = list(leaves)
+        walks = len(queue)
+        i = 0
+        while walks > 1:
+            node = queue[i]
+            i += 1
+            parent = node.parent
+            if parent is None:
+                queue.append(node)  # the tree root waits for the other walks
+            elif parent.pert is None:
+                parent.pert = [node]
+                touched.append(parent)
+                queue.append(parent)
             else:
-                node.count = sum([ch.count for ch in node.children])
+                parent.pert.append(node)
+                walks -= 1
+        return touched
 
-    def _apply(self, top: _Node) -> int:
-        """Label the pertinent subtree under `top` bottom-up, left to right,
-        applying each node's template once its children are labelled; stop
-        at the first failure. Only `top` is the pertinent root."""
-        if top.kind == "L":
-            return FULL if top.count else EMPTY
-        stack = [(top, [], iter(top.children))]
-        while True:
-            node, labels, rest = stack[-1]
-            for ch in rest:
-                if not ch.count:
-                    labels.append(EMPTY)
-                elif ch.kind == "L":
-                    labels.append(FULL)
+    def _label(self, leaves: list[_Node], total: int) -> Optional[list[_Node]]:
+        """Label the pertinent subtree bottom-up, applying each node's
+        template once all its pertinent children are labelled. The first
+        node with `total` row leaves below is the pertinent root, and the
+        last. Returns the internal nodes labelled, children before parents,
+        or None at the first template that fails."""
+        for leaf in leaves:
+            leaf.count = 1
+            leaf.label = FULL
+        ready = list(leaves)
+        done: list[_Node] = []
+        for node in ready:
+            if node.kind != "L":
+                is_root = node.count == total
+                pert = node.pert
+                if len(pert) == len(node.children) and all(ch.label == FULL for ch in pert):
+                    lab = FULL
+                elif node.kind == "P":
+                    lab = self._apply_p(node, is_root)
                 else:
-                    stack.append((ch, [], iter(ch.children)))
-                    break
-            else:
-                stack.pop()
-                is_root = not stack
-                if node.kind == "P":
-                    lab = self._apply_p(node, labels, is_root)
-                else:
-                    lab = self._apply_q(node, labels, is_root)
-                if lab == _FAIL or is_root:
-                    return lab
-                stack[-1][1].append(lab)
+                    lab = self._apply_q(node, is_root)
+                if lab == _FAIL:
+                    return None
+                node.label = lab
+                done.append(node)
+                if is_root:
+                    return done
+            parent = node.parent
+            parent.count += node.count
+            parent.labelled += 1
+            if parent.labelled == len(parent.pert):
+                ready.append(parent)
+        raise InternalError("PQ-tree reduction found no pertinent root")
+
+    @staticmethod
+    def _positions(node: _Node) -> list[int]:
+        """Ascending positions of node's pertinent children in its child list."""
+        children = node.children
+        if len(node.pert) < _FEW:
+            # The P root templates put their new block last, where the next
+            # overlapping row tends to find it.
+            end = children[-1]
+            return sorted(
+                [len(children) - 1 if ch is end else children.index(ch) for ch in node.pert]
+            )
+        return [i for i, ch in enumerate(children) if ch.label]
 
     # A PARTIAL child is always a Q node whose children run empty-side to
     # full-side, left to right. The P templates build and consume that shape.
 
-    def _apply_p(self, node: _Node, labels: list[int], is_root: bool) -> int:
-        empties = [c for c, l in zip(node.children, labels) if l == EMPTY]
-        fulls = [c for c, l in zip(node.children, labels) if l == FULL]
-        partials = [c for c, l in zip(node.children, labels) if l == PARTIAL]
+    def _apply_p(self, node: _Node, is_root: bool) -> int:
+        children = node.children
+        pos = self._positions(node)
+        pert = [children[i] for i in pos]
+        fulls = [c for c in pert if c.label == FULL]
+        partials = [c for c in pert if c.label == PARTIAL]
+        if len(partials) > (2 if is_root else 1):
+            return _FAIL
+        empties = children  # in place: the child list less the pertinent children
+        for i in reversed(pos):
+            del empties[i]
 
         if not partials:
-            if not empties:
-                return FULL
-            if not fulls:
-                return EMPTY
             if is_root:
                 # Group the full children so they stay together.
-                node.children = empties + [_group(fulls)]
+                group = _group(fulls)
+                group.parent = node
+                empties.append(group)
                 return PARTIAL
             # Become a partial Q: empty block then full block.
             node.kind = "Q"
             node.children = [_group(empties), _group(fulls)]
+            _adopt(node, node.children)
             return PARTIAL
 
         if len(partials) == 1:
             q = partials[0]
             if is_root:
                 if fulls:
-                    q.children = q.children + [_group(fulls)]
-                node.children = empties + [q]
+                    group = _group(fulls)
+                    group.parent = q
+                    q.children.append(group)
+                empties.append(q)
                 return PARTIAL
             node.kind = "Q"
-            mid = list(q.children)
             pre = [_group(empties)] if empties else []
             post = [_group(fulls)] if fulls else []
-            node.children = pre + mid + post
+            node.children = pre + q.children + post
+            _adopt(node, node.children)
             return PARTIAL
 
-        if len(partials) == 2 and is_root:
-            q1, q2 = partials
-            merged = list(q1.children)
-            if fulls:
-                merged.append(_group(fulls))
-            merged.extend(reversed(q2.children))
-            nq = _Node("Q", merged)
-            node.children = empties + [nq]
-            return PARTIAL
+        q1, q2 = partials
+        merged = list(q1.children)
+        if fulls:
+            merged.append(_group(fulls))
+        merged.extend(reversed(q2.children))
+        nq = _Node("Q", merged)
+        nq.parent = node
+        empties.append(nq)
+        return PARTIAL
 
-        return _FAIL
-
-    def _apply_q(self, node: _Node, labels: list[int], is_root: bool) -> int:
-        if all(l == EMPTY for l in labels):
-            return EMPTY
-        if all(l == FULL for l in labels):
-            return FULL
-
+    def _apply_q(self, node: _Node, is_root: bool) -> int:
+        """The Q templates on the span from the first to the last pertinent
+        child, which must hold no empty child and a partial child only at an
+        end. At the pertinent root a partial child at either end is spliced
+        in with its full side inward. Elsewhere the span must reach one end
+        of the node, a partial child sits at the span's inner end, and the
+        node is reversed if needed so the full side ends on the right."""
+        children = node.children
+        k = len(node.pert)
         if is_root:
-            new = self._match_root_q(node.children, labels)
-            if new is None:
-                return _FAIL
-            node.children = new
+            pos = self._positions(node)
+            first, last = pos[0], pos[-1]
+        elif children[-1].label:
+            first, last = len(children) - k, len(children) - 1
+        elif children[0].label:
+            first, last = 0, k - 1
+        else:
+            return _FAIL
+        a, b = children[first], children[last]
+        if last - first + 1 != k or not a.label or not b.label:
+            return _FAIL
+        if not all(children[i].label == FULL for i in range(first + 1, last)):
+            return _FAIL
+        if is_root:
+            span = a.children if a.label == PARTIAL else [a]
+            span = span + children[first + 1 : last]
+            if last != first:
+                span += reversed(b.children) if b.label == PARTIAL else [b]
+            children[first : last + 1] = span
+            _adopt(node, span)
             return PARTIAL
 
-        for forward in (True, False):
-            ch = node.children if forward else list(reversed(node.children))
-            lb = labels if forward else list(reversed(labels))
-            new = self._match_partial_q(ch, lb)
-            if new is not None:
-                node.children = new
-                return PARTIAL
+        if last == len(children) - 1 and (first == last or b.label == FULL):
+            if a.label == PARTIAL:
+                children[first : first + 1] = a.children
+                _adopt(node, a.children)
+            return PARTIAL
+        if first == 0 and (first == last or a.label == FULL):
+            if b.label == PARTIAL:
+                children[last : last + 1] = reversed(b.children)
+                _adopt(node, b.children)
+            children.reverse()
+            return PARTIAL
         return _FAIL
 
-    @staticmethod
-    def _match_partial_q(children: list[_Node], labels: list[int]) -> list[_Node] | None:
-        """Match E* [P] F* (empty-to-full, left to right). A partial child's
-        own children already run empty-to-full regardless of the direction the
-        parent is being scanned in, so it is spliced as-is."""
-        out: list[_Node] = []
-        phase = 0  # 0 empties, 1 fulls
-        for ch, lab in zip(children, labels):
-            if lab == EMPTY:
-                if phase != 0:
-                    return None
-                out.append(ch)
-            elif lab == PARTIAL:
-                if phase != 0:
-                    return None
-                out.extend(ch.children)
-                phase = 1
-            else:  # FULL
-                phase = 1
-                out.append(ch)
-        return out
-
-    @staticmethod
-    def _match_root_q(children: list[_Node], labels: list[int]) -> list[_Node] | None:
-        """Match E* [P] F* [P] E* at the pertinent root, splicing partial
-        children so the full block is contiguous in the middle."""
-        out: list[_Node] = []
-        phase = 0  # 0 leading empties, 1 full block, 2 trailing empties
-        for ch, lab in zip(children, labels):
-            if lab == EMPTY:
-                if phase == 1:
-                    phase = 2
-                out.append(ch)
-            elif lab == FULL:
-                if phase == 0:
-                    phase = 1
-                if phase == 2:
-                    return None
-                out.append(ch)
-            else:  # PARTIAL
-                if phase == 0:
-                    out.extend(ch.children)  # empty side first
-                    phase = 1
-                elif phase == 1:
-                    out.extend(reversed(ch.children))  # full side first
-                    phase = 2
-                else:
-                    return None
-        return out
-
-    def _splice_single(self, top: _Node, top_parent: Optional[_Node]) -> None:
-        """Collapse internal nodes with a single child, children before
-        parents. Template bookkeeping leaves them behind only in the subtree
-        of the pertinent root `top`, the only part a reduction rewrites."""
-        nodes, parents = self._subtree(top)
-        parents[0] = top_parent
-        for node, parent in zip(reversed(nodes), reversed(parents)):
+    def _splice_single(self, labelled: list[_Node]) -> None:
+        """Collapse internal nodes left with a single child, children before
+        parents. Only the nodes a reduction labelled can be left so."""
+        for node in labelled:
             if len(node.children) != 1:
                 continue
             only = node.children[0]
+            parent = node.parent
+            only.parent = parent
             if parent is None:
                 self.root = only
             else:

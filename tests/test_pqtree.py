@@ -1,11 +1,17 @@
+import hashlib
 import random
 import sys
+import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import c1p_by_permutations, c1p_by_subset_dp
-from tis.pqtree import c1p_order, check_consecutive
+from tis.generators import gen_order_preserving
+from tis.model import IntervalModel, TemporalIntervalInstance
+from tis.order import pooled_clique_matrix
+from tis.pqtree import EMPTY, PQTree, c1p_order, check_consecutive
 
 
 def order_ok(rows, ncols):
@@ -106,3 +112,139 @@ def test_deeply_nested_rows_need_no_recursion():
         sys.setrecursionlimit(old_limit)
     assert order is not None
     assert check_consecutive(rows, order)
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 0.5])
+def test_out_of_range_column_is_a_value_error(bad):
+    with pytest.raises(ValueError, match=r"not within 0\.\.2"):
+        c1p_order([{0, 1}, {1, bad}], 3)
+
+
+def test_path_matrix_of_10000_columns():
+    # rows {2k, 2k+1}, {2k+1, 2k+2}, ...: each reduce touches a few nodes
+    # of a tree whose root has thousands of children
+    ncols = 10000
+    rows = [{c, c + 1} for c in range(ncols - 1)]
+    start = time.perf_counter()
+    order = c1p_order(rows, ncols)
+    assert time.perf_counter() - start < 5
+    assert order is not None
+    assert check_consecutive(rows, order)
+
+
+def _check_tree(tree, reduced):
+    """The tree's structure after a reduce, and every per-reduce field of
+    its nodes at rest. `reduced` says whether the reduce succeeded; after a
+    failure only the fields are checked."""
+    nodes = [tree.root] if tree.root is not None else []
+    for node in nodes:
+        nodes.extend(node.children)
+    for node in set(nodes) | set(tree.leaves):
+        assert (node.count, node.labelled, node.label, node.pert) == (0, 0, EMPTY, None)
+    if not reduced:
+        return
+    assert tree.root is None or tree.root.parent is None
+    for node in nodes:
+        if node.kind == "L":
+            assert not node.children
+            assert tree.leaves[node.col] is node
+        else:
+            assert len(node.children) >= 2
+            assert all(ch.parent is node for ch in node.children)
+    assert sorted(tree.frontier()) == list(range(tree.ncols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ncols=st.integers(0, 12), data=st.data())
+def test_tree_invariants_after_every_reduce(ncols, data):
+    rows = data.draw(
+        st.lists(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols), max_size=10)
+    )
+    tree = PQTree(ncols)
+    _check_tree(tree, True)
+    for row in rows:
+        ok = tree.reduce(row)
+        _check_tree(tree, ok)
+        if not ok:
+            break
+
+
+# Frontier pins. c1p_order's frontier is the ordering `tis recognize` prints,
+# so the reduce may not change which ordering it returns. The digests hash
+# c1p_order's result (frontier or None) on each matrix in turn.
+
+RANDOM_FRONTIERS = "72f61b1e1eb4d982f24962c1ce1acb1952d02d0f94e9635a9973c9756521b5b2"
+WORKLOAD_FRONTIERS = "871f37f1e65c0eec76a9101d519165410d75518da3695fe779e2c05fd52eccf9"
+
+
+def _random_matrices():
+    """4,000 seeded matrices over at most 9 columns: even ones are blocks of
+    a hidden column order, sometimes with one flipped entry; odd ones are
+    Bernoulli."""
+    rng = random.Random(1976)
+    for i in range(4000):
+        ncols = rng.randint(1, 9)
+        nrows = rng.randint(1, 8)
+        if i % 2 == 0:
+            perm = rng.sample(range(ncols), ncols)
+            rows = []
+            for _ in range(nrows):
+                a = rng.randrange(ncols)
+                b = rng.randrange(a, ncols)
+                row = set(perm[a : b + 1])
+                if rng.random() < 0.15:
+                    row ^= {rng.randrange(ncols)}
+                rows.append(row)
+        else:
+            p = rng.choice((0.2, 0.35, 0.5, 0.7))
+            rows = [{c for c in range(ncols) if rng.random() < p} for _ in range(nrows)]
+        yield rows, ncols
+
+
+def _planted(seed):
+    """gen_order_preserving(20, 3, 1, 0) with the intervals of two vertices
+    adjacent in layer 1's right-endpoint order swapped in that layer."""
+    base = gen_order_preserving(20, 3, 1, 0, seed=seed)
+    layers = [list(layer.intervals) for layer in base.layers]
+    by_right = sorted(range(20), key=lambda v: layers[0][v][1])
+    i = random.Random(seed).randrange(19)
+    a, b = by_right[i], by_right[i + 1]
+    layers[0][a], layers[0][b] = layers[0][b], layers[0][a]
+    return TemporalIntervalInstance(
+        names=base.names,
+        weights=base.weights,
+        tau=3,
+        delta=1,
+        k=0,
+        mode="model",
+        layers=[IntervalModel(layer) for layer in layers],
+        unit_flag=True,
+    )
+
+
+def _workload_matrices():
+    """Pooled clique matrices: 20 order-preserving instances at n=120, then
+    20 planted-swap instances at n=20 with each single vertex deleted."""
+    for seed in range(20):
+        inst = gen_order_preserving(120, 5, 2, 0, seed=seed)
+        yield pooled_clique_matrix(inst), inst.n
+    for seed in range(20):
+        inst = _planted(seed)
+        for v in range(inst.n):
+            yield pooled_clique_matrix(inst, deleted=frozenset({v})), inst.n - 1
+
+
+def _frontier_digest(matrices):
+    h = hashlib.sha256()
+    for rows, ncols in matrices:
+        h.update(repr(c1p_order(rows, ncols)).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_frontiers_pinned_on_random_matrices():
+    assert _frontier_digest(_random_matrices()) == RANDOM_FRONTIERS
+
+
+def test_frontiers_pinned_on_pooled_clique_matrices():
+    assert _frontier_digest(_workload_matrices()) == WORKLOAD_FRONTIERS
