@@ -41,8 +41,13 @@ EMPTY, FULL, PARTIAL = 0, 1, 2
 _FAIL = -1
 
 # Below this many pertinent children a node finds their positions with one
-# list.index each (a C-level scan); from it on, one Python pass over the
-# child list is cheaper.
+# list.index each; from it on, with one Python pass over its labels. Each
+# list.index and the pass cost up to the child list's length, in C steps
+# against Python steps, so the break-even is a count of pertinent children,
+# not a share of the node. With list.index alone the nested rows {0..i} in
+# shrinking order go cubic (1,500 columns: 9.9 s against 0.8 s); with the
+# pass alone the path matrix of 10,000 columns takes 3.4 s against 1.0 s
+# (Python 3.11.7, shared 2-core machine).
 _FEW = 8
 
 
@@ -113,12 +118,14 @@ class PQTree:
         does; the tree must not be used further after a failed reduction.
         """
         S = frozenset(row)
+        cols = range(self.ncols)
         for c in S:
-            if not (isinstance(c, int) and 0 <= c < self.ncols):
+            # O(1) for an int; a value equal to one, such as 1.0, passes too
+            if c not in cols:
                 raise ValueError(f"row {sorted(S)} not within 0..{self.ncols - 1}")
         if len(S) <= 1 or len(S) == self.ncols:
             return True
-        leaves = [self.leaves[c] for c in S]
+        leaves = [self.leaves[int(c)] for c in S]
         touched = self._bubble(leaves)
         try:
             labelled = self._label(leaves, len(S))
@@ -199,12 +206,7 @@ class PQTree:
         """Ascending positions of node's pertinent children in its child list."""
         children = node.children
         if len(node.pert) < _FEW:
-            # The P root templates put their new block last, where the next
-            # overlapping row tends to find it.
-            end = children[-1]
-            return sorted(
-                [len(children) - 1 if ch is end else children.index(ch) for ch in node.pert]
-            )
+            return sorted([children.index(ch) for ch in node.pert])
         return [i for i, ch in enumerate(children) if ch.label]
 
     # A PARTIAL child is always a Q node whose children run empty-side to

@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -120,11 +121,29 @@ def test_out_of_range_column_is_a_value_error(bad):
         c1p_order([{0, 1}, {1, bad}], 3)
 
 
+@pytest.mark.parametrize("one", [1.0, Fraction(1), True])
+def test_column_equal_to_an_int_is_that_column(one):
+    # the check is range membership, which takes any value equal to a column
+    assert c1p_order([{0, 2}, {one, 2}], 3) == c1p_order([{0, 2}, {1, 2}], 3)
+
+
 def test_path_matrix_of_10000_columns():
     # rows {2k, 2k+1}, {2k+1, 2k+2}, ...: each reduce touches a few nodes
     # of a tree whose root has thousands of children
     ncols = 10000
     rows = [{c, c + 1} for c in range(ncols - 1)]
+    start = time.perf_counter()
+    order = c1p_order(rows, ncols)
+    assert time.perf_counter() - start < 5
+    assert order is not None
+    assert check_consecutive(rows, order)
+
+
+def test_shrinking_nested_rows_of_1500_columns():
+    # rows {0..1498}, {0..1497}, ...: each row holds all but one of a P
+    # node's children, so finding them one list.index at a time is cubic
+    ncols = 1500
+    rows = [range(i + 1) for i in reversed(range(1, ncols - 1))]
     start = time.perf_counter()
     order = c1p_order(rows, ncols)
     assert time.perf_counter() - start < 5
