@@ -204,13 +204,13 @@ def mwis_interval(model: IntervalModel, weights: Sequence[Fraction]) -> Solution
 def _interval_schedule(model: IntervalModel, weights: Sequence[int]) -> list[int]:
     """A maximum-weight set of pairwise disjoint closed intervals (touching
     intervals conflict): the classic weighted interval-scheduling DP over
-    the intervals sorted by right endpoint, then a walk back through it."""
-    ivs = model.intervals
-    items = sorted(range(model.n), key=lambda v: (ivs[v][1], v))
-    rights = [ivs[v][1] for v in items]
+    the intervals sorted by (right endpoint, vertex), then a walk back
+    through it. It runs on the endpoint ranks, which keep order and ties."""
+    left, right, _, items = model.ranks()
+    rights = [right[v] for v in items]
     best, prev = [0], []  # prev[i]: how many items end before items[i] starts
     for i, v in enumerate(items):
-        prev.append(bisect.bisect_left(rights, ivs[v][0], 0, i))
+        prev.append(bisect.bisect_left(rights, left[v], 0, i))
         best.append(max(best[i], weights[v] + best[prev[i]]))
     chosen = []
     i = len(items)

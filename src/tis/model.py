@@ -5,8 +5,11 @@ An instance bundles a weighted vertex set, tau layers (each either an interval
 model or an explicit edge list), a window width delta, and a target size k.
 All endpoints and weights are exact rationals (`fractions.Fraction`); adjacency
 in a model is closed-interval intersection, so touching endpoints count as an
-edge. Every value is immutable after construction and every operation here is
-a pure function of its inputs.
+edge. Endpoints are stored as `Fraction`s, but sorted and tie-tested on exact
+integer keys, their numerators scaled to the LCM of their denominators, while
+that LCM stays within a fixed bit width (`_endpoint_keys`). Every value is
+immutable after construction and every operation here is a pure function of
+its inputs.
 
 Instance file format (UTF-8, line oriented, '#' starts a comment):
 
@@ -29,6 +32,7 @@ lexicographically.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,15 +73,17 @@ class InternalError(RuntimeError):
     library, never a property of the input."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9][0-9]*)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9][0-9]*))?$")
 _NAME_RE = re.compile(r"^\S+$")
 
 
 def parse_rational(token: str, line: int | None = None) -> Fraction:
     """Parse 'p' or 'p/q' into an exact rational; anything else is an error."""
-    if not _RATIONAL_RE.match(token):
+    m = _RATIONAL_RE.match(token)
+    if not m:
         raise InstanceError(f"bad rational {token!r} (expected p or p/q)", line)
-    return Fraction(token)
+    p, q = m.groups()
+    return Fraction(int(p), int(q)) if q else Fraction(int(p))
 
 
 def format_rational(x: Fraction) -> str:
@@ -175,7 +181,8 @@ class EndpointRanks(NamedTuple):
     compare exactly as their endpoints do and touching ends share a rank;
     every sweep only compares endpoints, so it runs on these small ints.
     `by_left` and `by_right` list the vertices by (left, vertex) and by
-    (right, vertex): the two sweep orders."""
+    (right, vertex): the two sweep orders. The ranking sorts and tie-tests
+    exact integer keys (`_endpoint_keys`), up to the width bound."""
 
     left: list[int]
     right: list[int]
@@ -183,15 +190,39 @@ class EndpointRanks(NamedTuple):
     by_right: list[int]
 
 
+# The widest LCM of denominators that endpoint keys are scaled to. Keys
+# grow with it: ranking 2,000 intervals takes 2.6 ms at 830 bits and
+# 16 ms at 16,581 bits, against 13-23 ms on Fractions, and peak memory
+# doubles by about 1,000 bits. The generators' grids need a few bits.
+_KEY_BITS = 1024
+
+
+def _endpoint_keys(intervals: Sequence[tuple[Fraction, Fraction]]) -> Sequence:
+    """Sort keys for the endpoints, vertex v's ends at 2v and 2v + 1, that
+    compare and tie exactly as the endpoints do: each numerator scaled to
+    L, the LCM of the distinct denominators, or the endpoints themselves
+    once L passes _KEY_BITS bits."""
+    ends = [x for iv in intervals for x in iv]
+    pairs = [x.as_integer_ratio() for x in ends]
+    dens = {d for _, d in pairs}
+    scale = 1
+    for d in dens:
+        scale = math.lcm(scale, d)
+        if scale.bit_length() > _KEY_BITS:
+            return ends
+    mults = {d: scale // d for d in dens}
+    return [p * mults[d] for p, d in pairs]
+
+
 def _rank_endpoints(intervals: Sequence[tuple[Fraction, Fraction]]) -> EndpointRanks:
-    ends = [x for iv in intervals for x in iv]  # vertex v's ends at 2v, 2v + 1
-    order = sorted(range(len(ends)), key=ends.__getitem__)  # stable: ties by v
-    rank = [0] * len(ends)
+    keys = _endpoint_keys(intervals)
+    order = sorted(range(len(keys)), key=keys.__getitem__)  # stable: ties by v
+    rank = [0] * len(keys)
     r, prev = -1, None
     for i in order:
-        if r < 0 or ends[i] != prev:
+        if r < 0 or keys[i] != prev:
             r += 1
-            prev = ends[i]
+            prev = keys[i]
         rank[i] = r
     return EndpointRanks(
         rank[0::2],
@@ -230,8 +261,10 @@ class IntervalModel:
     def __init__(self, intervals: Iterable[tuple[Fraction, Fraction]]):
         ivs = []
         for lo, hi in intervals:
-            lo = Fraction(lo)
-            hi = Fraction(hi)
+            if type(lo) is not Fraction:
+                lo = Fraction(lo)
+            if type(hi) is not Fraction:
+                hi = Fraction(hi)
             if lo > hi:
                 raise ValueError(f"empty interval [{lo}, {hi}]")
             ivs.append((lo, hi))
@@ -293,8 +326,9 @@ class IntervalModel:
         """True when every interval has the same rational length."""
         if self.n <= 1:
             return True
-        lengths = {hi - lo for lo, hi in self.intervals}
-        return len(lengths) == 1
+        keys = _endpoint_keys(self.intervals)
+        length = keys[1] - keys[0]
+        return all(keys[i + 1] - keys[i] == length for i in range(2, len(keys), 2))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntervalModel) and self.intervals == other.intervals
@@ -554,6 +588,7 @@ def parse_instance(text: str) -> TemporalIntervalInstance:
         unit_flag = mode == "model"
 
     names: list[str] = []
+    seen: set[str] = set()
     weights: list[Fraction] = []
     while pos < len(lines):
         lineno, toks = lines[pos]
@@ -562,8 +597,9 @@ def parse_instance(text: str) -> TemporalIntervalInstance:
         if len(toks) not in (2, 3):
             raise InstanceError("expected 'vertex <name> [weight]'", lineno)
         name = toks[1]
-        if name in names:
+        if name in seen:
             raise InstanceError(f"duplicate vertex {name!r}", lineno)
+        seen.add(name)
         w = parse_rational(toks[2], lineno) if len(toks) == 3 else Fraction(1)
         if w < 0:
             raise InstanceError(f"negative weight for vertex {name!r}", lineno)

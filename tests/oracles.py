@@ -272,6 +272,26 @@ def model_edge_set(intervals) -> set[tuple[int, int]]:
     return out
 
 
+def endpoint_ranks(intervals) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(left ranks, right ranks, vertices by (left, vertex), vertices by
+    (right, vertex)), sorting the endpoints themselves: an endpoint's rank
+    is the number of distinct endpoint values below it."""
+    n = len(intervals)
+    values = sorted({x for iv in intervals for x in iv})
+    rank = {x: i for i, x in enumerate(values)}
+    return (
+        [rank[intervals[v][0]] for v in range(n)],
+        [rank[intervals[v][1]] for v in range(n)],
+        sorted(range(n), key=lambda v: (intervals[v][0], v)),
+        sorted(range(n), key=lambda v: (intervals[v][1], v)),
+    )
+
+
+def unit_length(intervals) -> bool:
+    """Every interval has the same length, right minus left."""
+    return len({hi - lo for lo, hi in intervals}) <= 1
+
+
 def maximal_cliques_by_points(intervals) -> list[frozenset[int]]:
     """Maximal cliques of a model in sweep order: for each distinct right
     endpoint, ascending, the set of intervals covering it; duplicates are

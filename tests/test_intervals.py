@@ -105,6 +105,21 @@ class TestMwis:
         best = oracles.max_weight_independent(n, edges, weights)
         assert (sol.selected, sol.objective) == (optima[0], best)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 9))
+    def test_touching_ends_give_lex_min_optimum(self, data, n):
+        # endpoints from a few shared values, so ends touch often; the two
+        # Mersenne-prime offsets put a model past the integer-key width bound
+        points = [F(x) for x in range(5)] + [F(1, 2**521 - 1), 2 + F(1, 2**607 - 1)]
+        pair = st.lists(st.sampled_from(points), min_size=2, max_size=2)
+        ivs = [tuple(sorted(data.draw(pair))) for _ in range(n)]
+        weights = [F(data.draw(st.integers(0, 2))) for _ in range(n)]
+        sol = mwis_interval(IntervalModel(ivs), weights)
+        edges = oracles.model_edge_set(ivs)
+        optima = oracles.all_optimal_independent_sets(n, edges, weights)
+        best = oracles.max_weight_independent(n, edges, weights)
+        assert (sol.selected, sol.objective) == (optima[0], best)
+
     def test_all_zero_weights_select_nothing(self):
         sol = mwis_interval(model((0, 1), (2, 3), (4, 5)), [F(0)] * 3)
         assert sol.selected == frozenset() and sol.objective == 0

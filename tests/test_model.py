@@ -1,15 +1,21 @@
+import hashlib
+import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import tis
 from tis.model import (
+    _KEY_BITS,
     InstanceError,
     IntervalModel,
     StaticGraph,
     TemporalIntervalInstance,
+    _endpoint_keys,
     edge_intersection,
     edge_union,
     parse_instance,
@@ -124,6 +130,27 @@ def test_parse_reports_line_numbers():
     assert err.value.line == 9
 
 
+def test_parse_rejects_duplicate_vertex_with_its_line():
+    text = "tis 1\nmode model\nn 2\ntau 1\ndelta 1\nk 0\nvertex a\nvertex a\n"
+    with pytest.raises(InstanceError, match="duplicate vertex 'a'") as err:
+        parse_instance(text)
+    assert err.value.line == 8
+
+
+def test_parse_is_linear_in_the_vertex_lines():
+    n = 20_000
+    text = (
+        f"tis 1\nmode model\nn {n}\ntau 1\ndelta 1\nk 0\n"
+        + "".join(f"vertex v{i}\n" for i in range(n))
+        + "layer 1\n"
+        + "".join(f"interval v{i} {i}/3 {i + 3}/3\n" for i in range(n))
+    )
+    start = time.perf_counter()
+    inst = parse_instance(text)
+    assert time.perf_counter() - start < 1
+    assert inst.n == n and inst.layers[0].left(4) == F(4, 3)
+
+
 def test_parse_rejects_duplicate_header_keys():
     text = "tis 1\nmode edges\nmode edges\nn 0\ntau 1\ndelta 1\nk 0\nlayer 1\n"
     with pytest.raises(InstanceError):
@@ -200,3 +227,106 @@ def test_roundtrip_random_instances(n, tau, seed, weighted):
         n, tau, 1, 0, seed=seed, max_weight=9 if weighted else None
     )
     assert parse_instance(serialize_instance(inst)) == inst
+
+
+# Output pin. Endpoint sorts and tie tests may run on any exact key, but
+# never change what is computed from them. The digest hashes, per seeded
+# instance, every layer's ranks(), the recognition ordering (or witness),
+# the conflict interval model and the op and greedy sets.
+
+SOLVE_OUTPUTS = "c69d2aa67aab4d3c74a8b321aac7181a994aaa3c8865b27a051437dc37e7071d"
+
+
+def _pinned_instances():
+    for seed in range(20):
+        yield tis.gen_order_preserving(120, 5, 2, 0, seed=seed)
+    for seed in range(20):
+        yield tis.gen_random_unit(34, 4, 2, 0, seed=seed, spread=6, max_weight=5)
+
+
+def _solve_outputs_digest():
+    h = hashlib.sha256()
+    for inst in _pinned_instances():
+        for layer in inst.layers:
+            h.update(repr(tuple(layer.ranks())).encode())
+        rep = tis.recognize_order_preserving(inst)
+        if rep.ordering is None:
+            h.update(repr(rep.witness).encode())
+        else:
+            h.update(repr(rep.ordering.order).encode())
+            model = tis.conflict_interval_model(inst, rep.ordering)
+            h.update(repr(model.intervals).encode())
+            op = tis.solve_exact_op(inst, rep.ordering)
+            h.update(repr(sorted(op.selected)).encode())
+        h.update(repr(sorted(tis.solve_greedy(inst).selected)).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_solve_outputs_pinned():
+    assert _solve_outputs_digest() == SOLVE_OUTPUTS
+
+
+# Endpoint keys. Mersenne primes as denominators: a model holding both of
+# the last two has an LCM past the width bound, so it ranks on Fractions.
+_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1, 2**607 - 1)
+_endpoint = st.builds(
+    F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 12) + _PRIMES)
+)
+
+
+@st.composite
+def _models(draw):
+    """Negative, integer, touching and mixed-denominator endpoints; with a
+    shared length the model is unit."""
+    shared = draw(st.none() | st.builds(abs, _endpoint))
+    ivs = []
+    for _ in range(draw(st.integers(0, 12))):
+        lo = draw(_endpoint)
+        length = shared if shared is not None else draw(st.builds(abs, _endpoint))
+        ivs.append((lo, lo + length))
+    return ivs
+
+
+def test_endpoint_keys_switch_to_fractions_past_the_width_bound():
+    assert _endpoint_keys([(F(-3, 4), F(1, 6)), (F(5), F(5))]) == [-9, 2, 60, 60]
+    assert _KEY_BITS < 521 + 607
+    big = [(F(1, 2**521 - 1), F(1, 2**607 - 1)), (F(0), F(0))]
+    assert _endpoint_keys(big) == [x for iv in big for x in iv]
+    assert all(type(k) is F for k in _endpoint_keys(big))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ivs=_models())
+def test_ranks_and_unit_length_match_oracles(ivs):
+    m = IntervalModel(ivs)
+    assert tuple(m.ranks()) == oracles.endpoint_ranks(ivs)
+    assert m.is_unit_length() == oracles.unit_length(ivs)
+
+
+def _primes_below(limit):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return [p for p in range(limit) if sieve[p]]
+
+
+def test_distinct_denominators_rank_in_bounded_memory():
+    # Scaled to one denominator, these 10,000 intervals would need keys of
+    # about 150,000 bits each; past the width bound they rank on Fractions.
+    primes = _primes_below(104_730)  # the 10,000th prime is 104,729
+    assert len(primes) == 10_000
+    ivs = [(F(v, p), F(v, p) + 1) for v, p in enumerate(primes)]
+    tracemalloc.start()
+    try:
+        m = IntervalModel(ivs)
+        ranks = m.ranks()
+        unit = m.is_unit_length()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert unit
+    assert peak < 50_000_000
+    assert tuple(ranks) == oracles.endpoint_ranks(ivs)
