@@ -18,12 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import (
-    NotUnitError,
-    StaticGraph,
-    TemporalIntervalInstance,
-    edge_intersection,
-)
+from .model import NotUnitError, StaticGraph, TemporalIntervalInstance
 from .intervals import ensure_unit
 
 
@@ -62,16 +57,14 @@ def conflict_graph(
     inst: TemporalIntervalInstance,
     semantics: WindowSemantics = WindowSemantics.FIGURE,
 ) -> StaticGraph:
-    """Union over windows of the edge-intersection of the window's layers."""
+    """Union over windows of the edge-intersection of the window's layers,
+    taken on the layers' edge sets; only the result is built as a graph."""
     plan = window_plan(inst.tau, inst.delta, semantics)
     edges: set[tuple[int, int]] = set()
     for start in plan.starts:
-        window = None
-        for t in plan.layers(start):
-            layer = inst.layer_graph(t)
-            window = layer if window is None else edge_intersection(window, layer)
-        if window is not None:
-            edges |= window.edges
+        edges |= frozenset.intersection(
+            *(inst.layer_graph(t).edges for t in plan.layers(start))
+        )
     return StaticGraph(inst.n, edges)
 
 

@@ -1,10 +1,12 @@
 """Interval-graph algorithmics.
 
 Maximum-weight independent set on interval models, the canonical tie break
-shared with the exact solver, maximal clique enumeration (geometric and
-abstract), consecutive-ones testing with minimal witnesses,
+shared with the exact solver, maximal clique enumeration by a sweep of an
+interval model, consecutive-ones testing with minimal witnesses,
 unit-interval recognition with model synthesis, and normalization of a graph
-to an agreeing right-endpoint ordering.
+to an agreeing right-endpoint ordering. An edge-list layer declared unit
+gets its cliques from the unit model its recognition synthesizes
+(`ensure_unit`), so both instance modes share the one sweep.
 
 A vertex ordering `agrees` with a graph when the graph has an interval model
 whose right endpoints appear in exactly that order. That holds iff, for every
@@ -28,7 +30,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .model import (
     InternalError,
@@ -40,10 +42,6 @@ from .model import (
     dense_index,
 )
 from .pqtree import c1p_order, check_consecutive
-
-
-class NotIntervalError(ValueError):
-    """A graph required to be an interval graph is not one."""
 
 
 class OrderingIncompatible(ValueError):
@@ -277,73 +275,6 @@ def maximal_cliques(
     return out
 
 
-def maximal_cliques_abstract(g: StaticGraph) -> list[frozenset[int]]:
-    """Maximal cliques of an abstract graph, in a consecutive arrangement
-    order; raises NotIntervalError when g is not an interval graph.
-
-    An interval graph has at most n maximal cliques and admits an ordering of
-    them in which every vertex's cliques are consecutive; the converse holds
-    too, so both checks together decide interval-ness.
-    """
-    n = g.n
-    if n == 0:
-        return []
-    cliques: list[frozenset[int]] = []
-    for cl in _bron_kerbosch(n, g.edges):
-        cliques.append(cl)
-        if len(cliques) > n:
-            raise NotIntervalError(
-                f"more than {n} maximal cliques: not an interval graph"
-            )
-    rows = [
-        frozenset(i for i, cl in enumerate(cliques) if v in cl) for v in range(n)
-    ]
-    res = c1p_test(rows, ncols=len(cliques), witness=False)
-    if not res.is_c1p:
-        raise NotIntervalError("maximal cliques admit no consecutive arrangement")
-    return [cliques[i] for i in res.ordering]
-
-
-def _bron_kerbosch(
-    n: int, edges: Iterable[tuple[int, int]]
-) -> Iterator[frozenset[int]]:
-    """Maximal cliques of the graph on 0..n-1 (n >= 1), lazily: Bron-Kerbosch
-    with Tomita pivoting, on an explicit stack because cliques can be
-    thousands of vertices deep.
-
-    The set operations and their order are those of networkx's find_cliques,
-    so the cliques come out in the same sequence; the clique arrangement,
-    and with it printed orderings and error messages, depends on it."""
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in sorted(edges):
-        adj[u].add(v)
-        adj[v].add(u)
-    clique: list[int] = []
-    stack: list[tuple[set[int], set[int], set[int]]] = []
-    cand = set(range(n))
-    subg = cand.copy()
-    ext = cand - adj[max(subg, key=lambda u: len(cand & adj[u]))]
-    while True:
-        if ext:
-            q = ext.pop()
-            cand.remove(q)
-            subg_q = subg & adj[q]
-            if not subg_q:
-                yield frozenset(clique + [q])
-                continue
-            cand_q = cand & adj[q]
-            if cand_q:
-                stack.append((subg, cand, ext))
-                clique.append(q)
-                subg, cand = subg_q, cand_q
-                ext = cand - adj[max(subg, key=lambda u: len(cand & adj[u]))]
-        elif stack:
-            clique.pop()
-            subg, cand, ext = stack.pop()
-        else:
-            return
-
-
 # -- agreement with an ordering and normalization ----------------------------
 
 
@@ -415,8 +346,10 @@ def recognize_unit_interval(g: StaticGraph) -> UnitIntervalResult:
     ordering. Left endpoints along that ordering are pinned by an exact
     difference-constraint system (adjacent to the leftmost below-neighbor,
     separated from the one before it) solved with a symbolic infinitesimal
-    margin, so closed-interval touching comes out exactly right. Failure is a
-    value carrying the witness, not an exception.
+    margin, which one rational margin then realizes (`_unit_lefts`), so
+    closed-interval touching comes out exactly right. The model is compared
+    with g by the rank sweep, an internal error should they differ. Failure
+    is a value carrying the witness, not an exception.
     """
     n = g.n
     if n == 0:
@@ -450,9 +383,15 @@ def _unit_lefts(g: StaticGraph, sigma: REOrdering) -> list[Fraction]:
       x_j <= x_{f(j)} + 1    if f(j) < j  (touch the leftmost neighbor)
       x_j >= x_{f(j)-1} + 1 + mu  if f(j) >= 1  (clear the nearest non-neighbor)
     Solved as a shortest-path problem over weights (a, b) meaning a + b*mu
-    with mu an infinitesimal; mu is then instantiated as 1/(n+1), halving
-    exactly as needed (the strict separations hold for every sufficiently
-    small positive mu).
+    with mu an infinitesimal, then instantiated once at mu = 1/(n+1).
+
+    That one margin is enough. A shortest path has at most n-1 edges of b
+    weight 0 or -1, so every b lies in [-(n-1), 0]. A constraint whose
+    integer slack is 0 holds by its b comparison; one whose integer slack
+    is at least 1 loses at most n*mu = n/(n+1) < 1 of it, so it holds too.
+    Along an umbrella ordering the constraints fix every pair: the
+    below-neighbors of position j are f(j)..j-1, so x_j - x_i <= 1 for
+    f(j) <= i < j and x_j - x_i >= 1 + mu for i < f(j).
     """
     n = g.n
     order = sigma.order
@@ -484,39 +423,32 @@ def _unit_lefts(g: StaticGraph, sigma: REOrdering) -> list[Fraction]:
     else:
         raise InternalError("unit synthesis constraints infeasible")
 
-    mu = Fraction(1, n + 1)
-    for _ in range(8 * n + 8):
-        xs = [Fraction(a) + Fraction(b) * mu for a, b in dist]
-        if _unit_lefts_realize(g, order, xs):
-            return xs
-        mu /= 2
-    raise InternalError("no margin made the unit model exact")
+    return [Fraction(a * (n + 1) + b, n + 1) for a, b in dist]
 
 
-def _unit_lefts_realize(
-    g: StaticGraph, order: tuple[int, ...], xs: list[Fraction]
-) -> bool:
-    n = g.n
-    for j in range(n):
-        for i in range(j):
-            adjacent = xs[j] - xs[i] <= 1 and xs[i] - xs[j] <= 1
-            if adjacent != g.has_edge(order[i], order[j]):
-                return False
-    return True
+def ensure_unit(inst: TemporalIntervalInstance) -> tuple[IntervalModel, ...]:
+    """A unit interval model of every layer of inst, in layer order; refuses
+    instances that do not carry (and, in edges mode, survive) the unit
+    declaration.
 
-
-def ensure_unit(inst: TemporalIntervalInstance) -> None:
-    """Refuse instances that do not carry (and, in edges mode, survive) the
-    unit declaration. Model-mode lengths were verified at construction; an
-    edges-mode declaration is verified here layer by layer, on the first
-    call only: the instance is immutable, and unit interval graphs are
-    hereditary, so the verdict also holds for every induced sub-instance."""
+    Model-mode layers are their own models, their lengths verified at
+    construction. An edges-mode declaration is verified here layer by
+    layer, on the first call only, and the models recognition synthesizes
+    are kept: each induces exactly its layer, and the instance is
+    immutable. Unit interval graphs are hereditary, so the verdict also
+    holds for every induced sub-instance."""
     if not inst.unit_flag:
         raise NotUnitError("operation requires a unit instance (unit flag false)")
-    if inst.mode == "edges" and not inst._unit_verified:
+    if inst.mode == "model":
+        return inst.layers
+    if inst._unit_models is None:
+        models = []
         for t in range(1, inst.tau + 1):
-            if not recognize_unit_interval(inst.layer_graph(t)).ok:
+            res = recognize_unit_interval(inst.layer_graph(t))
+            if not res.ok:
                 raise NotUnitError(
                     f"unit declared but layer {t} is not a unit interval graph"
                 )
-        object.__setattr__(inst, "_unit_verified", True)
+            models.append(res.model)
+        object.__setattr__(inst, "_unit_models", tuple(models))
+    return inst._unit_models

@@ -161,20 +161,6 @@ class StaticGraph:
         return f"StaticGraph(n={self.n}, edges={sorted(self.edges)})"
 
 
-def edge_intersection(g1: StaticGraph, g2: StaticGraph) -> StaticGraph:
-    """Graph on the same vertices whose edge set is E(g1) ∩ E(g2)."""
-    if g1.n != g2.n:
-        raise ValueError(f"vertex-count mismatch: {g1.n} != {g2.n}")
-    return StaticGraph(g1.n, g1.edges & g2.edges)
-
-
-def edge_union(g1: StaticGraph, g2: StaticGraph) -> StaticGraph:
-    """Graph on the same vertices whose edge set is E(g1) ∪ E(g2)."""
-    if g1.n != g2.n:
-        raise ValueError(f"vertex-count mismatch: {g1.n} != {g2.n}")
-    return StaticGraph(g1.n, g1.edges | g2.edges)
-
-
 class EndpointRanks(NamedTuple):
     """A model's endpoints replaced by their ranks among its distinct
     endpoint values. Left and right ends are ranked together, so two ranks
@@ -363,7 +349,7 @@ class TemporalIntervalInstance:
         "layers",
         "_name_to_index",
         "_layer_cache",
-        "_unit_verified",
+        "_unit_models",
     )
 
     def __init__(
@@ -432,8 +418,8 @@ class TemporalIntervalInstance:
         )
         object.__setattr__(self, "_layer_cache", [None] * tau)
         # Set by intervals.ensure_unit once an edges-mode unit declaration
-        # has been verified: the instance is immutable, so it stays true.
-        object.__setattr__(self, "_unit_verified", False)
+        # has been verified: the unit model it synthesized for each layer.
+        object.__setattr__(self, "_unit_models", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TemporalIntervalInstance is immutable")

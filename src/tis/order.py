@@ -29,7 +29,6 @@ from .intervals import (
     c1p_test,
     ensure_unit,
     maximal_cliques,
-    maximal_cliques_abstract,
     normalized_model_for,
     ordering_agrees,
 )
@@ -61,17 +60,24 @@ def pooled_clique_matrix(
     ascending order: the rows of the matrix whose columns are the
     inst.n - len(deleted) survivors.
 
-    Rows are kept in (layer, sweep position) order of first appearance; the
-    PQ-tree reads them in that order. Edges-mode layers must be interval
-    graphs (NotIntervalError otherwise).
+    Every layer's cliques come from a sweep of its unit model
+    (`ensure_unit`, so a non-unit instance is refused). Rows are kept in
+    (layer, position) order of first appearance; the PQ-tree reads them in
+    that order. A model-mode layer's cliques keep their sweep order. An
+    edges-mode layer's model is one of several that induce the layer (its
+    reversal, another order of its components), and the models of the
+    layer with and without the deleted vertices need not sweep alike. So
+    those cliques are sorted by their sorted vertex tuples, which makes the
+    rows a function of the graphs alone; re-indexing keeps that order, and
+    recognizing inst - deleted in place builds the rows of
+    remove_vertices(inst, deleted).
     """
     rows: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
-    for t in range(1, inst.tau + 1):
-        if inst.mode == "model":
-            cliques = maximal_cliques(inst.layer_model(t), skip=deleted)
-        else:
-            cliques = maximal_cliques_abstract(inst.layer_graph(t, skip=deleted))
+    for model in ensure_unit(inst):
+        cliques = maximal_cliques(model, skip=deleted)
+        if inst.mode == "edges":
+            cliques.sort(key=sorted)
         for K in cliques:
             if K not in seen:
                 seen.add(K)
@@ -92,8 +98,8 @@ def recognize_order_preserving(
     and witness are over the survivors re-indexed densely in ascending
     order. No reduced instance is built: the clique and layer-graph sweeps
     pass over the deleted vertices. The unit declaration is checked on inst
-    itself, which covers inst - deleted because unit interval graphs are
-    hereditary.
+    itself (pooled_clique_matrix), which covers inst - deleted because unit
+    interval graphs are hereditary.
 
     On success the returned ordering is re-verified against every layer of
     inst - deleted by ordering_agrees (an internal error otherwise, since a
@@ -103,7 +109,6 @@ def recognize_order_preserving(
     instances are refused; recognition of non-unit temporal interval graphs
     is not offered.
     """
-    ensure_unit(inst)
     deleted = inst.vertex_set(deleted)
     rows = pooled_clique_matrix(inst, deleted=deleted)
     res = c1p_test(rows, inst.n - len(deleted), witness=witness)

@@ -10,8 +10,9 @@ sets. The `fpt` cases on it and on `two_layer_path.tis` were re-recorded
 when `fpt` took the canonical tie break: each now prints the `exact` set,
 with the objective unchanged. `gen_op_edges_n30.tis` is `tis gen op
 --n 30 --tau 3 --delta 2 --k 8 --seed 11` with each layer written as the
-edge list of its graph, so recognition enumerates cliques of abstract
-graphs; its cases were recorded while networkx enumerated them.
+edge list of its graph. Its cases were recorded while the cliques of
+those graphs were enumerated by Bron-Kerbosch; they are unchanged now that
+recognition sweeps the unit models synthesized for the layers.
 """
 
 import json

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +8,13 @@ from hypothesis import strategies as st
 import oracles
 import tis
 from tis.conflict import WindowSemantics, conflict_graph
-from tis.intervals import c1p_test, maximal_cliques, maximal_cliques_abstract
-from tis.model import IntervalModel, TemporalIntervalInstance, remove_vertices
+from tis.intervals import c1p_test, maximal_cliques
+from tis.model import (
+    IntervalModel,
+    StaticGraph,
+    TemporalIntervalInstance,
+    remove_vertices,
+)
 from tis.order import (
     conflict_interval_model,
     pooled_clique_matrix,
@@ -38,19 +44,21 @@ class TestPooledMatrix:
 
     def test_rows_are_layer_cliques_in_first_seen_order(self, small_corpus):
         # the rows are the PQ-tree's input, so their order decides the
-        # printed orderings
-        cases = [c for inst in small_corpus[:40] for c in (inst, edges_copy(inst))]
-        for inst in cases:
+        # printed orderings: each layer's cliques in sweep order in model
+        # mode, and sorted by their sorted vertex tuples in edges mode
+        for inst in small_corpus[:40]:
             for deleted in (frozenset(), frozenset(range(0, inst.n, 3))):
-                cliques = []
+                cliques, sorted_cliques = [], []
                 for t in range(1, inst.tau + 1):
-                    if inst.mode == "model":
-                        cliques += maximal_cliques(inst.layer_model(t), skip=deleted)
-                    else:
-                        layer = inst.layer_graph(t, skip=deleted)
-                        cliques += maximal_cliques_abstract(layer)
+                    m = inst.layer_model(t)
+                    cliques += maximal_cliques(m, skip=deleted)
+                    ivs = [iv for v, iv in enumerate(m.intervals) if v not in deleted]
+                    by_points = oracles.maximal_cliques_by_points(ivs)
+                    sorted_cliques += sorted(by_points, key=sorted)
                 got = pooled_clique_matrix(inst, deleted=deleted)
                 assert got == list(dict.fromkeys(cliques))
+                got = pooled_clique_matrix(edges_copy(inst), deleted=deleted)
+                assert got == list(dict.fromkeys(sorted_cliques))
 
     def test_isolated_vertex_forms_singleton_row(self):
         inst = tis.gen_random_unit(1, 2, 1, 0, seed=0)
@@ -102,6 +110,51 @@ class TestRecognition:
     def test_single_vertex_trivially_preserving(self, single_vertex):
         rep = recognize_order_preserving(single_vertex)
         assert rep.is_order_preserving
+
+    def test_band_layer_in_seconds(self):
+        # 1,000 vertices, each adjacent to the next 599: 401 maximal cliques
+        # of up to 600 vertices, about 420,000 edges; the sweep of the
+        # synthesized unit model takes about a second
+        n = 1000
+        band = StaticGraph(
+            n, [(u, v) for u in range(n) for v in range(u + 1, min(n, u + 600))]
+        )
+        names = [f"v{i}" for i in range(n)]
+        inst = TemporalIntervalInstance(names, [1] * n, 1, 1, 0, "edges", [band], True)
+        start = time.perf_counter()
+        rep = recognize_order_preserving(inst, witness=False)
+        assert rep.is_order_preserving
+        assert time.perf_counter() - start < 15
+
+
+NON_UNIT_LAYERS = {
+    # not an interval graph
+    "four_cycle": [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")],
+    # an interval graph, but not a unit one
+    "claw": [("a", "b"), ("a", "c"), ("a", "d")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_UNIT_LAYERS))
+def test_non_unit_edges_layer_refused(name, tmp_path, run_cli):
+    # the unit check is what stands between such a layer and the sweeps
+    edges = "".join(f"edge {u} {v}\n" for u, v in NON_UNIT_LAYERS[name])
+    text = (
+        "tis 1\nmode edges\nn 4\ntau 1\ndelta 1\nk 1\nunit true\n"
+        + "".join(f"vertex {v}\n" for v in "abcd")
+        + "layer 1\n"
+        + edges
+    )
+    inst = tis.parse_instance(text)
+    with pytest.raises(tis.NotUnitError):
+        recognize_order_preserving(inst)
+    with pytest.raises(tis.NotUnitError):
+        tis.min_opvd(inst)
+    path = tmp_path / f"{name}.tis"
+    path.write_text(text)
+    r = run_cli("recognize", str(path))
+    assert r.returncode == 2
+    assert r.stdout == ""
 
 
 @st.composite

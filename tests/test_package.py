@@ -14,7 +14,7 @@ TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
 
 
 def test_cli_import_loads_no_networkx():
-    # networkx is a test-only reference; importing it cost most of `tis`'s
+    # networkx was once a dependency; importing it cost most of `tis`'s
     # start-up time.
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, tis.cli; print('networkx' in sys.modules)"],
