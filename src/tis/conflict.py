@@ -1,9 +1,11 @@
-"""Conflict graph construction and direct independence checking.
+"""Conflict graph construction and independence checking.
 
 The conflict graph collects, over a sliding window of consecutive layers, the
 edges present in every layer of the window. A vertex set is delta-independent
 exactly when it is independent in the conflict graph: for every pair and
 every window there is a layer in the window where the pair is non-adjacent.
+One window fold (`_window_edges`) serves both, run on the selected set alone
+for the independence check.
 
 Two window semantics are supported. The default ("figure") uses windows of
 exactly delta consecutive layers, starting at 1..tau-delta+1, with a single
@@ -53,19 +55,31 @@ def window_plan(
     return WindowPlan(delta + 1, len(starts), starts)
 
 
+def _window_edges(
+    inst: TemporalIntervalInstance,
+    semantics: WindowSemantics,
+    skip: frozenset[int] = frozenset(),
+) -> list[tuple[int, frozenset[tuple[int, int]]]]:
+    """(start, edges present in every layer of the window) for each window,
+    in start order, on inst - skip (survivors re-indexed densely in
+    ascending order); each layer graph is built once."""
+    plan = window_plan(inst.tau, inst.delta, semantics)
+    used = {t for start in plan.starts for t in plan.layers(start)}
+    edges = {t: inst.layer_graph(t, skip=skip).edges for t in used}
+    return [
+        (start, frozenset.intersection(*(edges[t] for t in plan.layers(start))))
+        for start in plan.starts
+    ]
+
+
 def conflict_graph(
     inst: TemporalIntervalInstance,
     semantics: WindowSemantics = WindowSemantics.FIGURE,
 ) -> StaticGraph:
     """Union over windows of the edge-intersection of the window's layers,
     taken on the layers' edge sets; only the result is built as a graph."""
-    plan = window_plan(inst.tau, inst.delta, semantics)
-    edges: set[tuple[int, int]] = set()
-    for start in plan.starts:
-        edges |= frozenset.intersection(
-            *(inst.layer_graph(t).edges for t in plan.layers(start))
-        )
-    return StaticGraph(inst.n, edges)
+    windows = _window_edges(inst, semantics)
+    return StaticGraph(inst.n, frozenset().union(*(common for _, common in windows)))
 
 
 def conflict_neighbors(
@@ -93,7 +107,7 @@ def conflict_neighbors(
 
 @dataclass(frozen=True)
 class IndependenceReport:
-    """Outcome of the direct delta-independence check. When not independent,
+    """Outcome of the delta-independence check. When not independent,
     `violation` names the first (u, v, window_start), in pair and window
     order, whose window contains the pair in every layer.
     """
@@ -107,27 +121,21 @@ def delta_independence_check(
     selected,
     semantics: WindowSemantics = WindowSemantics.FIGURE,
 ) -> IndependenceReport:
-    """Check delta-independence straight from the definition.
+    """Check delta-independence of `selected` (vertex names or indices).
 
-    `selected` may hold vertex names or indices. The result always equals
-    "selected is independent in conflict_graph(inst)" but is computed without
-    building that graph: each layer's neighbour sets are looked up once per
-    selected vertex.
+    The conflict graph's window fold runs on inst minus the unselected
+    vertices, so each layer graph holds the selected set S alone (O(n + m_S)
+    per model-mode layer, on its cached ranks). Any edge left is a
+    violation; dense re-indexing keeps the vertex order, so the smallest
+    (a, b, start) maps back to the first violating pair, then window.
     """
     S = sorted(inst.vertex_set(selected))
-    plan = window_plan(inst.tau, inst.delta, semantics)
-    windows = [(start, plan.layers(start)) for start in plan.starts]
-    layers = {t: inst.layer_graph(t) for _, ts in windows for t in ts}
-    for a, u in enumerate(S[:-1]):
-        nbrs = {t: g.neighbors(u) for t, g in layers.items()}
-        for v in S[a + 1 :]:
-            for start, ts in windows:
-                for t in ts:
-                    if v not in nbrs[t]:
-                        break
-                else:
-                    return IndependenceReport(False, (u, v, start))
-    return IndependenceReport(True)
+    unselected = frozenset(range(inst.n)).difference(S)
+    windows = _window_edges(inst, semantics, unselected)
+    first = min((e + (start,) for start, common in windows for e in common), default=None)
+    if first is None:
+        return IndependenceReport(True)
+    return IndependenceReport(False, (S[first[0]], S[first[1]], first[2]))
 
 
 def neighborhood_is_bound_check(

@@ -14,9 +14,8 @@ vertex, its neighbors at earlier positions occupy a contiguous block of
 positions ending immediately before it (checked by `ordering_agrees`).
 Normalizing to an agreeing ordering puts right(v) at v's 1-based position and
 left(v) at the smallest position among the vertices sharing a clique with v.
-Graphs normalized to one ordering share their right endpoints, so the edge
-intersection (union) of any of them is modelled by the pointwise max (min) of
-their left endpoints; order.conflict_interval_model folds the layers that way.
+One pass along the ordering finds each vertex's leftmost earlier neighbour
+(`_leftmost_earlier`); agreement, normalization and unit synthesis all read it.
 
 The canonical optimum is the lexicographically smallest maximum-weight set.
 `canonical_optimum` gets it from one optimizer run on perturbed integer
@@ -54,11 +53,8 @@ class OrderingIncompatible(ValueError):
 
 @dataclass(frozen=True)
 class REOrdering:
-    """A total vertex order, realizable as a right-endpoint order.
-
-    Positions are 1-based: position(v) is the index used as the normalized
-    right endpoint of v.
-    """
+    """A total vertex order, realizable as a right-endpoint order: order[j]
+    is the vertex whose normalized right endpoint is j + 1."""
 
     order: tuple[int, ...]
 
@@ -69,16 +65,6 @@ class REOrdering:
     @property
     def n(self) -> int:
         return len(self.order)
-
-    def position(self, v: int) -> int:
-        return self._pos()[v] + 1
-
-    def _pos(self) -> dict[int, int]:
-        pos = self.__dict__.get("_pos_cache")
-        if pos is None:
-            pos = {v: i for i, v in enumerate(self.order)}
-            self.__dict__["_pos_cache"] = pos
-        return pos
 
 
 @dataclass(frozen=True)
@@ -278,45 +264,53 @@ def maximal_cliques(
 # -- agreement with an ordering and normalization ----------------------------
 
 
-def ordering_agrees(
-    g: StaticGraph, ordering: REOrdering
-) -> Optional[tuple[int, int]]:
-    """None when some interval model of g has its right endpoints in this
-    order; otherwise a violating pair (u, w): the edge {u, w} spans a
-    position whose vertex is not adjacent to w."""
+def _leftmost_earlier(g: StaticGraph, ordering: REOrdering) -> list[int]:
+    """For each position j, the smallest position among j and the earlier
+    neighbours of the vertex at j, when the ordering agrees with g.
+
+    The earlier neighbours of w fill positions lo..j-1 iff there are j - lo
+    of them, lo being the smallest: O(n + m) over all positions. Raises
+    OrderingIncompatible with the first violating pair (the vertex at lo,
+    w) otherwise."""
     if ordering.n != g.n:
         raise ValueError("ordering size does not match graph")
     order = ordering.order
     pos = [0] * g.n
     for j, v in enumerate(order):
         pos[v] = j
-    # The earlier neighbours of w fill positions lo..j-1 iff there are j - lo
-    # of them, lo being the smallest: O(n + m) over all positions.
+    lows = []
     for j, w in enumerate(order):
         below = [p for p in map(pos.__getitem__, g.neighbors(w)) if p < j]
-        if below:
-            lo = min(below)
-            if len(below) != j - lo:
-                return (order[lo], w)
+        lo = min(below, default=j)
+        if len(below) != j - lo:
+            pair = (order[lo], w)
+            raise OrderingIncompatible(
+                f"ordering incompatible: violating pair {pair}", pair=pair
+            )
+        lows.append(lo)
+    return lows
+
+
+def ordering_agrees(
+    g: StaticGraph, ordering: REOrdering
+) -> Optional[tuple[int, int]]:
+    """None when some interval model of g has its right endpoints in this
+    order; otherwise a violating pair (u, w): the edge {u, w} spans a
+    position whose vertex is not adjacent to w."""
+    try:
+        _leftmost_earlier(g, ordering)
+    except OrderingIncompatible as exc:
+        return exc.pair
     return None
 
 
 def normalized_model_for(g: StaticGraph, ordering: REOrdering) -> IntervalModel:
     """The normalized model of g along an agreeing ordering: right(v) = v's
     1-based position, left(v) = smallest position among vertices sharing a
-    clique with v (equivalently min over N(v) ∪ {v})."""
-    viol = ordering_agrees(g, ordering)
-    if viol is not None:
-        raise OrderingIncompatible(
-            f"ordering incompatible: violating pair {viol}", pair=viol
-        )
-    order = ordering.order
-    pos = {v: i for i, v in enumerate(order)}
+    clique with v (equivalently min over N(v) ∪ {v}). Raises
+    OrderingIncompatible when the ordering does not agree with g."""
     intervals: list[tuple[Fraction, Fraction]] = [None] * g.n  # type: ignore
-    for j, v in enumerate(order):
-        nbrs = g.neighbors(v)
-        lo = min([pos[u] for u in nbrs], default=j)
-        lo = min(lo, j)
+    for j, (v, lo) in enumerate(zip(ordering.order, _leftmost_earlier(g, ordering))):
         intervals[v] = (Fraction(lo + 1), Fraction(j + 1))
     return IntervalModel(intervals)
 
@@ -362,9 +356,11 @@ def recognize_unit_interval(g: StaticGraph) -> UnitIntervalResult:
     if not g.edges:
         model = IntervalModel((Fraction(2 * v), Fraction(2 * v + 1)) for v in range(n))
         return UnitIntervalResult(model, sigma, None)
-    if ordering_agrees(g, sigma) is not None:
-        raise InternalError("umbrella ordering does not agree with the graph")
-    lefts = _unit_lefts(g, sigma)
+    try:
+        lows = _leftmost_earlier(g, sigma)
+    except OrderingIncompatible:
+        raise InternalError("umbrella ordering does not agree with the graph") from None
+    lefts = _unit_lefts(lows)
     intervals: list[tuple[Fraction, Fraction]] = [None] * n  # type: ignore
     for j, v in enumerate(sigma.order):
         intervals[v] = (lefts[j], lefts[j] + 1)
@@ -374,9 +370,9 @@ def recognize_unit_interval(g: StaticGraph) -> UnitIntervalResult:
     return UnitIntervalResult(model, sigma, None)
 
 
-def _unit_lefts(g: StaticGraph, sigma: REOrdering) -> list[Fraction]:
+def _unit_lefts(f: Sequence[int]) -> list[Fraction]:
     """Left endpoints x_0..x_{n-1} (position space) for unit intervals along
-    an umbrella ordering.
+    an umbrella ordering, given its leftmost earlier neighbours f.
 
     Constraints, with f(j) = leftmost below-neighbor position (f(j)=j if none):
       x_{j-1} <= x_j                      (right endpoints in order)
@@ -393,14 +389,7 @@ def _unit_lefts(g: StaticGraph, sigma: REOrdering) -> list[Fraction]:
     below-neighbors of position j are f(j)..j-1, so x_j - x_i <= 1 for
     f(j) <= i < j and x_j - x_i >= 1 + mu for i < f(j).
     """
-    n = g.n
-    order = sigma.order
-    pos = {v: i for i, v in enumerate(order)}
-    f = []
-    for j, v in enumerate(order):
-        below = [pos[u] for u in g.neighbors(v) if pos[u] < j]
-        f.append(min(below) if below else j)
-
+    n = len(f)
     # Difference constraints x_b - x_a <= (c0, c1) as edges (a, b, c0, c1).
     edges: list[tuple[int, int, int, int]] = []
     for j in range(1, n):

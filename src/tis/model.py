@@ -364,7 +364,7 @@ class TemporalIntervalInstance:
         unit_flag: bool,
     ):
         names = tuple(names)
-        weights = tuple(Fraction(w) for w in weights)
+        weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
         n = len(names)
         if len(set(names)) != n:
             raise InstanceError("duplicate vertex name")

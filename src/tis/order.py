@@ -12,10 +12,10 @@ each layer's cached integer endpoint ranks and pass over the deleted
 vertices.
 
 On an order-preserving instance the conflict graph itself is an interval
-graph: normalize every layer to the common ordering, intersect the models
-inside each window and union across windows. Normalized models share their
-right endpoints, so conflict_interval_model folds only the left endpoints:
-the min over windows of the max over the window's layers.
+graph that agrees with the common ordering: for u before v, u meets v in
+every layer of a window iff u's position is at least the max over those
+layers of v's normalized left endpoint, and the union over windows takes the
+min. So conflict_interval_model normalizes conflict_graph itself.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .conflict import WindowSemantics, window_plan
+from .conflict import WindowSemantics, conflict_graph
 from .intervals import (
     REOrdering,
     c1p_test,
@@ -129,24 +129,13 @@ def conflict_interval_model(
     ordering: REOrdering,
     semantics: WindowSemantics = WindowSemantics.FIGURE,
 ) -> IntervalModel:
-    """Interval model of the conflict graph along a common agreeing ordering.
-
-    The union over windows of the intersection of each window's normalized
-    layers: right(v) is v's position, left(v) the min over windows of the
-    max over the window's layers of the normalized left(v). With no windows
-    (formula semantics at delta = tau) the conflict graph is edgeless and
-    left(v) = right(v).
+    """The conflict graph's normalized model along an ordering that agrees
+    with it, as a common ordering of every layer does. An ordering that
+    agrees with the conflict graph alone is accepted too; any other raises
+    OrderingIncompatible with a violating pair of the conflict graph. With
+    no windows (formula semantics at delta = tau) the conflict graph is
+    edgeless and left(v) = right(v).
     """
     if ordering.n != inst.n:
         raise ValueError("ordering size does not match instance")
-    layers = [
-        normalized_model_for(inst.layer_graph(t), ordering)
-        for t in range(1, inst.tau + 1)
-    ]
-    plan = window_plan(inst.tau, inst.delta, semantics)
-    windows = [[layers[t - 1] for t in plan.layers(start)] for start in plan.starts]
-    positions = [ordering.position(v) for v in range(inst.n)]
-    return IntervalModel(
-        (min((max(m.left(v) for m in w) for w in windows), default=p), p)
-        for v, p in enumerate(positions)
-    )
+    return normalized_model_for(conflict_graph(inst, semantics), ordering)

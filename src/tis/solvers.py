@@ -6,11 +6,14 @@ delta_independence_check on the input instance:
   solve_exact_bruteforce  branch and bound on the conflict graph (int
                           bitmasks)
   solve_greedy            weight-greedy with closed-neighborhood removal
-  solve_exact_op          interval sweep on the conflict interval model,
-                          for instances that are order preserving
+  solve_exact_op          interval sweep on the conflict graph normalized
+                          to an ordering that agrees with it
   solve_fpt               parameterized by a deletion set S: one conflict
                           interval model of inst - S, swept once for each
                           of the 2^|S| independent sub-selections of S
+
+The conflict graph, its interval model and the certificate all come from
+the one window fold in `conflict`.
 
 The three exact solvers return the canonical optimum, the lexicographically
 smallest optimal index set, from one optimizer run on the perturbed integer
@@ -168,8 +171,9 @@ def solve_exact_op(
     ordering: REOrdering,
     semantics: WindowSemantics = WindowSemantics.FIGURE,
 ) -> Solution:
-    """Exact solve for an instance every layer of which agrees with
-    `ordering`: sweep the conflict interval model instead of branching."""
+    """Exact solve for an instance whose conflict graph agrees with
+    `ordering` (as it does when every layer does; OrderingIncompatible
+    otherwise): sweep the conflict interval model instead of branching."""
     model = conflict_interval_model(inst, ordering, semantics)
     inner = mwis_interval(model, inst.weights)
     return _certified(inst, inner.selected, inner.objective, "exact-op", semantics)
@@ -184,12 +188,13 @@ def solve_fpt(
 
     Builds the conflict interval model of inst - S once, and reads the
     conflict neighbours of S from the layer graphs rather than building the
-    all-pairs conflict graph. For each of the 2^|S| subsets X of S that are
-    independent in the conflict graph, the interval-scheduling DP runs on
-    that model restricted to the survivors not conflicting with X; the best
-    X plus remainder wins. This is the maximizer of one canonical_optimum
-    call, so the answer is the canonical optimum. Requires inst - S to be
-    order preserving. Runtime is exponential only in |S|.
+    all-pairs conflict graph of inst. For each of the 2^|S| subsets X of S
+    that are independent in the conflict graph, the interval-scheduling DP
+    runs on that model restricted to the survivors not conflicting with X;
+    the best X plus remainder wins. This is the maximizer of one
+    canonical_optimum call, so the answer is the canonical optimum.
+    Requires inst - S to be order preserving. Runtime is exponential only
+    in |S|.
     """
     s_set = inst.vertex_set(deletion_set)
     reduced = remove_vertices(inst, s_set)

@@ -142,6 +142,11 @@ class TestIndependenceCheck:
         inst = tis.gen_random_unit(
             n, tau, 1 + seed % tau, 0, seed=seed, spread=2 + seed % 3
         )
+        if data.draw(st.booleans(), label="edges mode"):
+            inst = tis.TemporalIntervalInstance(
+                inst.names, inst.weights, inst.tau, inst.delta, inst.k, "edges",
+                [inst.layer_graph(t) for t in range(1, tau + 1)], True,
+            )
         greedy = tis.solve_greedy(inst, semantics).selected
         # a random set (mostly dependent) or a greedy answer (independent,
         # so every pair and window has a witness)

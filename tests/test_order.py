@@ -262,3 +262,26 @@ class TestConflictIntervalModel:
                 break
         else:
             pytest.skip("every ordering agrees with this instance")
+
+    def test_layer_disagreement_alone_is_not_refused(self):
+        # layer 1 is the path a-b-c, layer 2 is edgeless; (b, a, c) disagrees
+        # with layer 1 but agrees with any conflict graph that lacks {b, c}
+        path = StaticGraph(3, [(0, 1), (1, 2)])
+        sigma = tis.REOrdering((1, 0, 2))
+
+        def instance(delta):
+            return TemporalIntervalInstance(
+                ("a", "b", "c"), [1] * 3, 2, delta, 0, "edges",
+                [path, StaticGraph(3)], True,
+            )
+
+        assert tis.ordering_agrees(path, sigma) == (1, 2)
+        # delta = 2: one window of both layers, so the conflict graph is
+        # edgeless and its normalized model has left = right = position
+        model = conflict_interval_model(instance(2), sigma)
+        assert model.intervals == ((F(2), F(2)), (F(1), F(1)), (F(3), F(3)))
+        assert tis.solve_exact_op(instance(2), sigma).selected == {0, 1, 2}
+        # delta = 1: the conflict graph is the path itself
+        with pytest.raises(tis.OrderingIncompatible) as exc:
+            conflict_interval_model(instance(1), sigma)
+        assert exc.value.pair == (1, 2)

@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from tis.model import (
 )
 from tis.solvers import (
     _max_independent_cardinality,
+    solve,
     solve_exact_bruteforce,
     solve_exact_op,
     solve_fpt,
@@ -288,6 +291,40 @@ class TestFpt:
         monkeypatch.setattr(tis.solvers, "conflict_graph", refuse)
         for inst, selected in zip(cases, want):
             assert solve_fpt(inst, tis.min_opvd(inst).deletion_set).selected == selected
+
+
+def test_pipeline_at_2000_vertices_in_both_modes():
+    # the whole op / fpt / greedy pipeline on a large order-preserving
+    # instance and its edge-list copy, with the recursion limit a little
+    # above the current depth: nothing may recurse along n
+    inst = tis.gen_order_preserving(2000, 5, 2, 0, seed=1)
+    edges = TemporalIntervalInstance(
+        inst.names, inst.weights, inst.tau, inst.delta, inst.k, "edges",
+        [inst.layer_graph(t) for t in range(1, inst.tau + 1)], True,
+    )
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    start = time.perf_counter()
+    try:
+        runs = [
+            (solve(i, "op"), solve(i, "fpt"), tis.min_opvd(i), solve(i, "greedy"))
+            for i in (inst, edges)
+        ]
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert time.perf_counter() - start < 120
+    op = runs[0][0]
+    for op_sol, fpt_sol, deletion, greedy in runs:
+        assert deletion.deletion_set == frozenset()
+        assert op_sol.selected == fpt_sol.selected == op.selected
+        assert op_sol.certificate.independent
+        assert greedy.certificate.independent
+        assert greedy.objective <= op.objective
 
 
 class TestVerification:
