@@ -82,29 +82,6 @@ def conflict_graph(
     return StaticGraph(inst.n, frozenset().union(*(common for _, common in windows)))
 
 
-def conflict_neighbors(
-    inst: TemporalIntervalInstance,
-    vertices,
-    semantics: WindowSemantics = WindowSemantics.FIGURE,
-) -> dict[int, frozenset[int]]:
-    """The conflict-graph neighbours of each of `vertices` (indices), read
-    from the layer graphs without building conflict_graph(inst): the union
-    over windows of the intersection of the window's layer neighbourhoods."""
-    plan = window_plan(inst.tau, inst.delta, semantics)
-    out: dict[int, frozenset[int]] = {}
-    for v in vertices:
-        nbrs: set[int] = set()
-        for start in plan.starts:
-            window = None
-            for t in plan.layers(start):
-                layer = inst.layer_graph(t).neighbors(v)
-                window = layer if window is None else window & layer
-            if window is not None:
-                nbrs |= window
-        out[v] = frozenset(nbrs)
-    return out
-
-
 @dataclass(frozen=True)
 class IndependenceReport:
     """Outcome of the delta-independence check. When not independent,

@@ -6,7 +6,9 @@ interval model, consecutive-ones testing with minimal witnesses,
 unit-interval recognition with model synthesis, and normalization of a graph
 to an agreeing right-endpoint ordering. An edge-list layer declared unit
 gets its cliques from the unit model its recognition synthesizes
-(`ensure_unit`), so both instance modes share the one sweep.
+(`ensure_unit`), so both instance modes share the one sweep. That model has
+integer endpoints, placed in one pass along the umbrella ordering of the
+layer's closed-neighbourhood matrix (`_unit_lefts`).
 
 A vertex ordering `agrees` with a graph when the graph has an interval model
 whose right endpoints appear in exactly that order. That holds iff, for every
@@ -337,82 +339,84 @@ def recognize_unit_interval(g: StaticGraph) -> UnitIntervalResult:
 
     A graph is a proper interval graph iff its closed-neighborhood matrix has
     the consecutive ones property; the C1P column order is then an umbrella
-    ordering. Left endpoints along that ordering are pinned by an exact
-    difference-constraint system (adjacent to the leftmost below-neighbor,
-    separated from the one before it) solved with a symbolic infinitesimal
-    margin, which one rational margin then realizes (`_unit_lefts`), so
-    closed-interval touching comes out exactly right. The model is compared
-    with g by the rank sweep, an internal error should they differ. Failure
-    is a value carrying the witness, not an exception.
+    ordering, along which `_unit_lefts` places intervals of length n at
+    integer left endpoints in one pass. The model is compared with g by the
+    rank sweep, an internal error should they differ. Failure is a value
+    carrying a minimal witness, shrunk only on a negative answer, not an
+    exception.
     """
+    found = _unit_model(g)
+    if found is not None:
+        return UnitIntervalResult(*found, None)
+    rows = [g.closed_neighborhood(v) for v in range(g.n)]
+    return UnitIntervalResult(None, None, c1p_test(rows, ncols=g.n).witness)
+
+
+def _unit_model(g: StaticGraph) -> Optional[tuple[IntervalModel, REOrdering]]:
+    """A unit model of g and the umbrella ordering it is built along, or
+    None when g is not a unit interval graph (the decision alone: no
+    witness is shrunk)."""
     n = g.n
-    if n == 0:
-        return UnitIntervalResult(IntervalModel([]), REOrdering(()), None)
     rows = [g.closed_neighborhood(v) for v in range(n)]
-    res = c1p_test(rows, ncols=n)
+    res = c1p_test(rows, ncols=n, witness=False)
     if not res.is_c1p:
-        return UnitIntervalResult(None, None, res.witness)
+        return None
     sigma = REOrdering(res.ordering)
-    if not g.edges:
-        model = IntervalModel((Fraction(2 * v), Fraction(2 * v + 1)) for v in range(n))
-        return UnitIntervalResult(model, sigma, None)
     try:
         lows = _leftmost_earlier(g, sigma)
     except OrderingIncompatible:
         raise InternalError("umbrella ordering does not agree with the graph") from None
-    lefts = _unit_lefts(lows)
     intervals: list[tuple[Fraction, Fraction]] = [None] * n  # type: ignore
-    for j, v in enumerate(sigma.order):
-        intervals[v] = (lefts[j], lefts[j] + 1)
+    for v, x in zip(sigma.order, _unit_lefts(lows)):
+        intervals[v] = (Fraction(x), Fraction(x + n))
     model = IntervalModel(intervals)
     if model.induced_graph() != g:
         raise InternalError("synthesized unit model mismatch")
-    return UnitIntervalResult(model, sigma, None)
+    return model, sigma
 
 
-def _unit_lefts(f: Sequence[int]) -> list[Fraction]:
-    """Left endpoints x_0..x_{n-1} (position space) for unit intervals along
-    an umbrella ordering, given its leftmost earlier neighbours f.
+def _unit_lefts(f: Sequence[int]) -> list[int]:
+    """Integer left endpoints x_0..x_{n-1} for intervals of length n along
+    an umbrella ordering, given its leftmost earlier neighbours f (f(j) = j
+    when position j has none).
 
-    Constraints, with f(j) = leftmost below-neighbor position (f(j)=j if none):
-      x_{j-1} <= x_j                      (right endpoints in order)
-      x_j <= x_{f(j)} + 1    if f(j) < j  (touch the leftmost neighbor)
-      x_j >= x_{f(j)-1} + 1 + mu  if f(j) >= 1  (clear the nearest non-neighbor)
-    Solved as a shortest-path problem over weights (a, b) meaning a + b*mu
-    with mu an infinitesimal, then instantiated once at mu = 1/(n+1).
+    The earlier neighbours of position j are f(j)..j-1, so with
+    p = f(j) - 1 the intervals realize the graph when
+      x is nondecreasing,
+      x_j <= x_{f(j)} + n          (j meets f(j), hence f(j)..j-1),
+      x_j > x_p + n  if p >= 0     (j misses p, hence 0..p).
 
-    That one margin is enough. A shortest path has at most n-1 edges of b
-    weight 0 or -1, so every b lies in [-(n-1), 0]. A constraint whose
-    integer slack is 0 holds by its b comparison; one whose integer slack
-    is at least 1 loses at most n*mu = n/(n+1) < 1 of it, so it holds too.
-    Along an umbrella ordering the constraints fix every pair: the
-    below-neighbors of position j are f(j)..j-1, so x_j - x_i <= 1 for
-    f(j) <= i < j and x_j - x_i >= 1 + mu for i < f(j).
+    Here x_j = level(j) * n + rank(j), with level(j) = level(p) + 1 (0 when
+    p < 0) and rank(j) in [0, n) the place of j in a list built in one
+    pass: j goes immediately before f(j) when level(f(j)) = level(j) - 1,
+    at the end otherwise. Along an umbrella ordering f is nondecreasing, so
+    level is nondecreasing and grows by at most 1 per position (p <= j - 1
+    and f(j-1) <= f(j)). Of one level's positions, those placed before a
+    lower-level f(j) come first in the ordering, each placed before an
+    f(j) no earlier than the previous one's, and the rest are appended
+    after them; so by induction on the level, each level's positions lie
+    in the list in ascending order. Then x is nondecreasing: within a
+    level the rank grows, and a level step adds n to a rank change of less
+    than n. j meets f(j): on the same level their ranks differ by less than
+    n, and one level lower j lies before f(j). j misses p, one level below
+    it: j was appended after p, or placed right before p + 1 = f(j), which
+    follows p on their level.
     """
     n = len(f)
-    # Difference constraints x_b - x_a <= (c0, c1) as edges (a, b, c0, c1).
-    edges: list[tuple[int, int, int, int]] = []
-    for j in range(1, n):
-        edges.append((j, j - 1, 0, 0))
-        if f[j] < j:
-            edges.append((f[j], j, 1, 0))
-        if f[j] >= 1:
-            edges.append((j, f[j] - 1, -1, -1))
-
-    dist = [(0, 0)] * n
-    for round_ in range(n + 1):
-        changed = False
-        for a, b, c0, c1 in edges:
-            cand = (dist[a][0] + c0, dist[a][1] + c1)
-            if cand < dist[b]:
-                dist[b] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        raise InternalError("unit synthesis constraints infeasible")
-
-    return [Fraction(a * (n + 1) + b, n + 1) for a, b in dist]
+    level = [0] * n
+    nxt, prv = [n] * (n + 1), [n] * (n + 1)  # a circular list through n
+    for j, lo in enumerate(f):
+        if lo:
+            level[j] = level[lo - 1] + 1
+        q = lo if level[lo] < level[j] else n
+        a = prv[q]
+        nxt[a], prv[j], nxt[j], prv[q] = j, a, q, j
+    rank = [0] * n
+    v = nxt[n]
+    for r in range(n):
+        rank[v] = r
+        v = nxt[v]
+    return [level[j] * n + rank[j] for j in range(n)]
 
 
 def ensure_unit(inst: TemporalIntervalInstance) -> tuple[IntervalModel, ...]:
@@ -422,10 +426,11 @@ def ensure_unit(inst: TemporalIntervalInstance) -> tuple[IntervalModel, ...]:
 
     Model-mode layers are their own models, their lengths verified at
     construction. An edges-mode declaration is verified here layer by
-    layer, on the first call only, and the models recognition synthesizes
-    are kept: each induces exactly its layer, and the instance is
-    immutable. Unit interval graphs are hereditary, so the verdict also
-    holds for every induced sub-instance."""
+    layer, on the first call only, by the C1P decision alone (a refusal
+    shrinks no witness), and the synthesized models are kept: each induces
+    exactly its layer, and the instance is immutable. Unit interval graphs
+    are hereditary, so the verdict also holds for every induced
+    sub-instance."""
     if not inst.unit_flag:
         raise NotUnitError("operation requires a unit instance (unit flag false)")
     if inst.mode == "model":
@@ -433,11 +438,11 @@ def ensure_unit(inst: TemporalIntervalInstance) -> tuple[IntervalModel, ...]:
     if inst._unit_models is None:
         models = []
         for t in range(1, inst.tau + 1):
-            res = recognize_unit_interval(inst.layer_graph(t))
-            if not res.ok:
+            found = _unit_model(inst.layer_graph(t))
+            if found is None:
                 raise NotUnitError(
                     f"unit declared but layer {t} is not a unit interval graph"
                 )
-            models.append(res.model)
+            models.append(found[0])
         object.__setattr__(inst, "_unit_models", tuple(models))
     return inst._unit_models

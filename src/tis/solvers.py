@@ -32,7 +32,6 @@ from .conflict import (
     IndependenceReport,
     WindowSemantics,
     conflict_graph,
-    conflict_neighbors,
     delta_independence_check,
 )
 from .intervals import REOrdering, _interval_schedule, canonical_optimum, mwis_interval
@@ -186,31 +185,31 @@ def solve_fpt(
 ) -> Solution:
     """Exact solve parameterized by a deletion set S to order preservation.
 
-    Builds the conflict interval model of inst - S once, and reads the
-    conflict neighbours of S from the layer graphs rather than building the
-    all-pairs conflict graph of inst. For each of the 2^|S| subsets X of S
-    that are independent in the conflict graph, the interval-scheduling DP
-    runs on that model restricted to the survivors not conflicting with X;
-    the best X plus remainder wins. This is the maximizer of one
-    canonical_optimum call, so the answer is the canonical optimum.
-    Requires inst - S to be order preserving. Runtime is exponential only
-    in |S|.
+    Recognizes inst - S in place, so an edges-mode unit declaration is
+    verified once, on inst, and builds the conflict interval model of
+    inst - S once; S's conflict neighbours come from the conflict graph of
+    inst. For each of the 2^|S| subsets X of S that are independent in the
+    conflict graph, the interval-scheduling DP runs on that model
+    restricted to the survivors not conflicting with X; the best X plus
+    remainder wins. This is the maximizer of one canonical_optimum call,
+    so the answer is the canonical optimum. Requires inst - S to be order
+    preserving. Runtime is exponential only in |S|.
     """
     s_set = inst.vertex_set(deletion_set)
-    reduced = remove_vertices(inst, s_set)
-    rep = recognize_order_preserving(reduced, witness=False)
+    rep = recognize_order_preserving(inst, witness=False, deleted=s_set)
     if rep.ordering is None:
         raise ValueError("deletion set does not leave an order-preserving instance")
+    reduced = remove_vertices(inst, s_set)
     model = conflict_interval_model(reduced, rep.ordering, semantics)
+    g = conflict_graph(inst, semantics)
     keep = [v for v in range(inst.n) if v not in s_set]
     s_sorted = sorted(s_set)
-    nbrs = conflict_neighbors(inst, s_sorted, semantics)
 
     def maximize(weights: list[int]) -> list[int]:
         best, best_set = -1, []
         for mask in range(1 << len(s_sorted)):
             x = [v for i, v in enumerate(s_sorted) if mask >> i & 1]
-            blocked = set().union(*(nbrs[v] for v in x))
+            blocked = set().union(*(g.neighbors(v) for v in x))
             if blocked.intersection(x):
                 continue
             rest = [i for i, v in enumerate(keep) if v not in blocked]

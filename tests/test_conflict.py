@@ -10,7 +10,6 @@ import tis
 from tis.conflict import (
     WindowSemantics,
     conflict_graph,
-    conflict_neighbors,
     delta_independence_check,
     neighborhood_is_bound_check,
     window_plan,
@@ -83,20 +82,6 @@ class TestConflictGraph:
             for sem in WindowSemantics:
                 got = set(conflict_graph(inst, sem).edges)
                 assert got == oracles.conflict_edge_set(inst, sem.value)
-
-    def test_neighbors_match_definition(self, windows_triangle):
-        cases = [windows_triangle] + [
-            tis.gen_random_unit(3 + seed % 6, 1 + seed % 4, 1, 0, seed=950 + seed)
-            for seed in range(40)
-        ]
-        for inst in cases:
-            for sem in WindowSemantics:
-                edges = oracles.conflict_edge_set(inst, sem.value)
-                want = {
-                    v: frozenset(u for u in range(inst.n) if (min(u, v), max(u, v)) in edges)
-                    for v in range(inst.n)
-                }
-                assert conflict_neighbors(inst, range(inst.n), sem) == want
 
 
 class TestIndependenceCheck:

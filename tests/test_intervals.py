@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import tis
+import tis.intervals
 from tis.intervals import (
     OrderingIncompatible,
     REOrdering,
     c1p_test,
+    ensure_unit,
     maximal_cliques,
     mwis_interval,
     normalized_model_for,
@@ -17,7 +21,7 @@ from tis.intervals import (
     recognize_unit_interval,
     shrink_witness,
 )
-from tis.model import IntervalModel, StaticGraph, TemporalIntervalInstance
+from tis.model import IntervalModel, NotUnitError, StaticGraph, TemporalIntervalInstance
 from tis.order import conflict_interval_model
 
 
@@ -297,7 +301,86 @@ class TestC1P:
                 assert oracles.c1p_by_subset_dp(smaller, ncols)
 
 
+@st.composite
+def unit_models(draw):
+    """Unit models with left ends on a grid of 1/d, the vertices in a drawn
+    order: random spreads, long paths with touching ends, cliques, edgeless
+    layouts and clusters with gaps between them."""
+    d = draw(st.sampled_from([1, 2, 3, 7]))
+    n = draw(st.integers(0, 40))
+    shape = draw(st.sampled_from(["random", "path", "clique", "edgeless", "clusters"]))
+    if shape == "random":
+        ks = draw(st.lists(st.integers(0, n * d), min_size=n, max_size=n))
+    elif shape == "path":
+        ks = [i * d for i in range(draw(st.integers(0, 300)))]
+    elif shape == "clique":
+        ks = [0] * n
+    elif shape == "edgeless":
+        ks = [2 * d * i for i in range(n)]
+    else:
+        pair = st.tuples(st.integers(0, 3), st.integers(0, 2 * d))
+        ks = [4 * d * c + k for c, k in draw(st.lists(pair, min_size=n, max_size=n))]
+    ks = draw(st.permutations(ks))
+    return IntervalModel((F(k, d), F(k, d) + 1) for k in ks)
+
+
+def claw_on_path(n):
+    """A path on n vertices, with one more vertex hung on its middle one."""
+    return StaticGraph(n + 1, [(v, v + 1) for v in range(n - 1)] + [(n // 2, n)])
+
+
+def edges_instance(graphs):
+    n = graphs[0].n
+    names = [f"v{i}" for i in range(n)]
+    return TemporalIntervalInstance(
+        names, [1] * n, len(graphs), 1, 0, "edges", list(graphs), True
+    )
+
+
 class TestUnitRecognition:
+    @settings(max_examples=300, deadline=None)
+    @given(m=unit_models())
+    def test_synthesized_model_is_integer_and_unit(self, m):
+        g = m.induced_graph()
+        res = recognize_unit_interval(g)
+        assert res.ok
+        assert all(x.denominator == 1 for iv in res.model.intervals for x in iv)
+        assert res.model.is_unit_length()
+        assert res.model.induced_graph() == g
+
+    def test_unit_check_at_4000_vertices_in_seconds(self):
+        # the edge-list copy of a 5-layer order-preserving instance: one
+        # pass per layer after the C1P test
+        src = tis.gen_order_preserving(4000, 5, 2, 0, seed=1)
+        inst = edges_instance([src.layer_graph(t) for t in range(1, src.tau + 1)])
+        start = time.perf_counter()
+        models = ensure_unit(inst)
+        assert time.perf_counter() - start < 3
+        for t, model in enumerate(models, 1):
+            assert model.induced_graph() == inst.layer_graph(t)
+
+    def test_non_unit_layer_refused_without_a_witness(self, monkeypatch):
+        # the refusal needs the decision alone; the witness shrink is what
+        # recognize_unit_interval adds
+        g = claw_on_path(2000)
+        shrinks = []
+        original = tis.intervals.shrink_witness
+
+        def counted(*args):
+            shrinks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(tis.intervals, "shrink_witness", counted)
+        start = time.perf_counter()
+        with pytest.raises(NotUnitError):
+            ensure_unit(edges_instance([g]))
+        assert time.perf_counter() - start < 5
+        assert shrinks == []
+        res = recognize_unit_interval(g)
+        assert not res.ok
+        assert len(shrinks) == 1
+        assert 1000 in res.witness and 2000 in res.witness
+
     def test_edgeless_graph(self):
         res = recognize_unit_interval(StaticGraph(3))
         assert res.ok
@@ -325,9 +408,8 @@ class TestUnitRecognition:
         assert res.model.induced_graph() == g
 
     def test_random_unit_models_roundtrip(self):
-        # The synthesis instantiates its margin once, so that one margin has
-        # to realize every graph: up to 60 vertices, left ends on grids of
-        # several denominators, and integer grids make many ends touch.
+        # up to 60 vertices, left ends on grids of several denominators;
+        # integer grids make many ends touch
         rng = random.Random(2024)
         for i in range(240):
             n = rng.randint(1, 60)

@@ -230,7 +230,8 @@ def counting(monkeypatch, module, name):
 
 class TestInPlaceRecognition:
     """min_opvd recognizes inst - D on inst itself: no reduced instance is
-    built, and an edges-mode unit declaration is verified once."""
+    built, and an edges-mode unit declaration is verified once, also when
+    solve_fpt follows with that D."""
 
     def test_builds_no_reduced_instance(self, monkeypatch):
         inst = tis.parse_instance((DATA / "planted_n20.tis").read_text())
@@ -244,9 +245,11 @@ class TestInPlaceRecognition:
         inst = tis.TemporalIntervalInstance(
             src.names, src.weights, src.tau, src.delta, src.k, "edges", graphs, True
         )
-        calls = counting(monkeypatch, tis.intervals, "recognize_unit_interval")
+        calls = counting(monkeypatch, tis.intervals, "_unit_model")
         res = min_opvd(inst)
         assert res.deletion_set == min_opvd(src).deletion_set
+        sol = tis.solve_fpt(inst, res.deletion_set)
+        assert sol.selected == tis.solve_fpt(src, res.deletion_set).selected
         assert 0 < len(calls) <= inst.tau
 
 

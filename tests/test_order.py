@@ -150,6 +150,8 @@ def test_non_unit_edges_layer_refused(name, tmp_path, run_cli):
         recognize_order_preserving(inst)
     with pytest.raises(tis.NotUnitError):
         tis.min_opvd(inst)
+    with pytest.raises(tis.NotUnitError):  # though inst - {a} is unit
+        tis.solve_fpt(inst, ["a"])
     path = tmp_path / f"{name}.tis"
     path.write_text(text)
     r = run_cli("recognize", str(path))

@@ -282,16 +282,6 @@ class TestFpt:
         solve_fpt(two_layer_path, frozenset({0, 1, 5}))
         assert calls == {"model": 1, "check": 1}
 
-    def test_builds_no_conflict_graph(self, fpt_corpus, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("solve_fpt built the all-pairs conflict graph")
-
-        cases = fpt_corpus[:30]
-        want = [solve_exact_bruteforce(inst).selected for inst in cases]
-        monkeypatch.setattr(tis.solvers, "conflict_graph", refuse)
-        for inst, selected in zip(cases, want):
-            assert solve_fpt(inst, tis.min_opvd(inst).deletion_set).selected == selected
-
 
 def test_pipeline_at_2000_vertices_in_both_modes():
     # the whole op / fpt / greedy pipeline on a large order-preserving
