@@ -4,8 +4,9 @@ The conflict graph collects, over a sliding window of consecutive layers, the
 edges present in every layer of the window. A vertex set is delta-independent
 exactly when it is independent in the conflict graph: for every pair and
 every window there is a layer in the window where the pair is non-adjacent.
-One window fold (`_window_edges`) serves both, run on the selected set alone
-for the independence check.
+One window fold (`_window_edges`) serves both. It intersects the layers'
+edge sets (`layer_edges`) and runs on the selected set alone for the
+independence check; only the conflict graph is built as a graph.
 
 Two window semantics are supported. The default ("figure") uses windows of
 exactly delta consecutive layers, starting at 1..tau-delta+1, with a single
@@ -62,10 +63,10 @@ def _window_edges(
 ) -> list[tuple[int, frozenset[tuple[int, int]]]]:
     """(start, edges present in every layer of the window) for each window,
     in start order, on inst - skip (survivors re-indexed densely in
-    ascending order); each layer graph is built once."""
+    ascending order); each layer's edge set is read once."""
     plan = window_plan(inst.tau, inst.delta, semantics)
     used = {t for start in plan.starts for t in plan.layers(start)}
-    edges = {t: inst.layer_graph(t, skip=skip).edges for t in used}
+    edges = {t: inst.layer_edges(t, skip=skip) for t in used}
     return [
         (start, frozenset.intersection(*(edges[t] for t in plan.layers(start))))
         for start in plan.starts
@@ -101,10 +102,12 @@ def delta_independence_check(
     """Check delta-independence of `selected` (vertex names or indices).
 
     The conflict graph's window fold runs on inst minus the unselected
-    vertices, so each layer graph holds the selected set S alone (O(n + m_S)
-    per model-mode layer, on its cached ranks). Any edge left is a
-    violation; dense re-indexing keeps the vertex order, so the smallest
-    (a, b, start) maps back to the first violating pair, then window.
+    vertices, so each layer's edge set holds the selected set S alone, and
+    no graph is built. A model layer's sweep on its cached ranks walks past
+    the unselected intervals, so it costs O(n + m) for a layer of m edges;
+    an edge list is filtered in O(m). Any edge left is a violation; dense
+    re-indexing keeps the vertex order, so the smallest (a, b, start) maps
+    back to the first violating pair, then window.
     """
     S = sorted(inst.vertex_set(selected))
     unselected = frozenset(range(inst.n)).difference(S)

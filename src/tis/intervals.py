@@ -16,8 +16,9 @@ vertex, its neighbors at earlier positions occupy a contiguous block of
 positions ending immediately before it (checked by `ordering_agrees`).
 Normalizing to an agreeing ordering puts right(v) at v's 1-based position and
 left(v) at the smallest position among the vertices sharing a clique with v.
-One pass along the ordering finds each vertex's leftmost earlier neighbour
-(`_leftmost_earlier`); agreement, normalization and unit synthesis all read it.
+One pass over the edge pairs counts each vertex's earlier neighbours and
+finds the leftmost (`_leftmost_earlier`); agreement, normalization, unit
+synthesis and recognition's re-check of a layer's edge set all read it.
 
 The canonical optimum is the lexicographically smallest maximum-weight set.
 `canonical_optimum` gets it from one optimizer run on perturbed integer
@@ -217,7 +218,7 @@ def maximal_cliques(
 ) -> list[frozenset[int]]:
     """Maximal cliques of the model's graph, ordered by sweep position; with
     `skip`, those of the model without these vertices, in survivor indices
-    (the cliques of `model.restrict(survivors)`, see induced_graph).
+    (the cliques of `model.restrict(survivors)`, see edge_pairs).
 
     Every maximal clique of an interval graph shows up as the set K_p of
     intervals covering some right endpoint p (the smallest right endpoint in
@@ -266,31 +267,51 @@ def maximal_cliques(
 # -- agreement with an ordering and normalization ----------------------------
 
 
-def _leftmost_earlier(g: StaticGraph, ordering: REOrdering) -> list[int]:
+def _leftmost_earlier(
+    n: int, edges: Iterable[tuple[int, int]], ordering: REOrdering
+) -> list[int]:
     """For each position j, the smallest position among j and the earlier
-    neighbours of the vertex at j, when the ordering agrees with g.
+    neighbours of the vertex at j, when the ordering agrees with the graph
+    on 0..n-1 with these edges (each given once, either way round).
 
     The earlier neighbours of w fill positions lo..j-1 iff there are j - lo
-    of them, lo being the smallest: O(n + m) over all positions. Raises
-    OrderingIncompatible with the first violating pair (the vertex at lo,
-    w) otherwise."""
-    if ordering.n != g.n:
+    of them, lo being the smallest: one pass over the edges counts them and
+    takes the min, O(n + m). Raises OrderingIncompatible with the first
+    violating pair (the vertex at lo, w) otherwise."""
+    if ordering.n != n:
         raise ValueError("ordering size does not match graph")
     order = ordering.order
-    pos = [0] * g.n
+    pos = [0] * n
     for j, v in enumerate(order):
         pos[v] = j
-    lows = []
-    for j, w in enumerate(order):
-        below = [p for p in map(pos.__getitem__, g.neighbors(w)) if p < j]
-        lo = min(below, default=j)
-        if len(below) != j - lo:
-            pair = (order[lo], w)
+    lows = list(range(n))
+    earlier = [0] * n
+    for u, v in edges:
+        p, q = pos[u], pos[v]
+        if p > q:
+            p, q = q, p
+        earlier[q] += 1
+        if p < lows[q]:
+            lows[q] = p
+    for j, lo in enumerate(lows):
+        if earlier[j] != j - lo:
+            pair = (order[lo], order[j])
             raise OrderingIncompatible(
                 f"ordering incompatible: violating pair {pair}", pair=pair
             )
-        lows.append(lo)
     return lows
+
+
+def disagreeing_pair(
+    edges: Iterable[tuple[int, int]], ordering: REOrdering
+) -> Optional[tuple[int, int]]:
+    """ordering_agrees for the graph on the ordering's vertices with these
+    edges: how recognition re-checks a layer, given as its edge set."""
+    try:
+        _leftmost_earlier(ordering.n, edges, ordering)
+    except OrderingIncompatible as exc:
+        return exc.pair
+    return None
 
 
 def ordering_agrees(
@@ -299,11 +320,9 @@ def ordering_agrees(
     """None when some interval model of g has its right endpoints in this
     order; otherwise a violating pair (u, w): the edge {u, w} spans a
     position whose vertex is not adjacent to w."""
-    try:
-        _leftmost_earlier(g, ordering)
-    except OrderingIncompatible as exc:
-        return exc.pair
-    return None
+    if ordering.n != g.n:
+        raise ValueError("ordering size does not match graph")
+    return disagreeing_pair(g.edges, ordering)
 
 
 def normalized_model_for(g: StaticGraph, ordering: REOrdering) -> IntervalModel:
@@ -312,7 +331,8 @@ def normalized_model_for(g: StaticGraph, ordering: REOrdering) -> IntervalModel:
     clique with v (equivalently min over N(v) ∪ {v}). Raises
     OrderingIncompatible when the ordering does not agree with g."""
     intervals: list[tuple[Fraction, Fraction]] = [None] * g.n  # type: ignore
-    for j, (v, lo) in enumerate(zip(ordering.order, _leftmost_earlier(g, ordering))):
+    lows = _leftmost_earlier(g.n, g.edges, ordering)
+    for j, (v, lo) in enumerate(zip(ordering.order, lows)):
         intervals[v] = (Fraction(lo + 1), Fraction(j + 1))
     return IntervalModel(intervals)
 
@@ -363,7 +383,7 @@ def _unit_model(g: StaticGraph) -> Optional[tuple[IntervalModel, REOrdering]]:
         return None
     sigma = REOrdering(res.ordering)
     try:
-        lows = _leftmost_earlier(g, sigma)
+        lows = _leftmost_earlier(n, g.edges, sigma)
     except OrderingIncompatible:
         raise InternalError("umbrella ordering does not agree with the graph") from None
     intervals: list[tuple[Fraction, Fraction]] = [None] * n  # type: ignore

@@ -277,16 +277,20 @@ class IntervalModel:
             object.__setattr__(self, "_ranks", _rank_endpoints(self.intervals))
         return self._ranks
 
-    def induced_graph(self, *, skip: frozenset[int] = frozenset()) -> StaticGraph:
-        """The model's graph; with `skip`, the graph of the model without
-        those vertices, survivors re-indexed densely in ascending order (the
-        graph of `restrict(survivors)`).
+    def edge_pairs(
+        self, *, skip: frozenset[int] = frozenset()
+    ) -> list[tuple[int, int]]:
+        """The edges (a, b), a < b, of the model's graph, each once; with
+        `skip`, those of the model without these vertices, survivors
+        re-indexed densely in ascending order (the edges of
+        `restrict(survivors)`).
 
         Sweep by left endpoint on the ranks: an interval meets a
         later-starting one exactly when that one starts by its right
-        endpoint, so each walk stops at the first start beyond it. O(n log
-        n + m) comparisons. The pairs are handed over sorted, so the graph's
-        sets are built in the same order as by a pairwise scan."""
+        endpoint, so each walk stops at the first start beyond it. The
+        walks pass over skipped vertices: once the ranks are built (O(n log
+        n), kept), a sweep costs O(n + m), m the edge count of the whole
+        model, whatever is skipped."""
         left, right, by_left, _ = self.ranks()
         idx = dense_index(self.n, skip)
         n = len(by_left)
@@ -302,8 +306,12 @@ class IntervalModel:
                 if v not in skip:
                     b = idx[v]
                     edges.append((a, b) if a < b else (b, a))
-        edges.sort()
-        return StaticGraph(n - len(skip), edges)
+        return edges
+
+    def induced_graph(self, *, skip: frozenset[int] = frozenset()) -> StaticGraph:
+        """The model's graph; with `skip`, the graph of the model without
+        those vertices (see edge_pairs)."""
+        return StaticGraph(self.n - len(skip), self.edge_pairs(skip=skip))
 
     def restrict(self, keep: Sequence[int]) -> "IntervalModel":
         return IntervalModel(self.intervals[v] for v in keep)
@@ -451,28 +459,42 @@ class TemporalIntervalInstance:
             raise InternalError(f"model-mode layer {t} holds no interval model")
         return layer
 
-    def layer_graph(self, t: int, *, skip: frozenset[int] = frozenset()) -> StaticGraph:
-        """The static graph of layer t (1-based); derived and cached in model
-        mode. With `skip`, the layer graph of the instance without those
-        vertices, survivors re-indexed densely in ascending order (the layer
-        graph of remove_vertices(self, skip)), built afresh each call."""
+    def layer_edges(
+        self, t: int, *, skip: frozenset[int] = frozenset()
+    ) -> frozenset[tuple[int, int]]:
+        """The edges (a, b), a < b, of layer t (1-based). Without `skip`,
+        an edge list's own set, or a model's rank sweep, cached: the
+        instance is immutable. With `skip`, the edges of layer t of the
+        instance without those vertices, survivors re-indexed densely in
+        ascending order (the layer edges of remove_vertices(self, skip)),
+        found afresh each call: a model is swept past the skipped vertices,
+        an edge list filtered and re-indexed. No graph is built."""
         if not 1 <= t <= self.tau:
             raise InstanceError(f"layer index {t} out of [1, {self.tau}]")
         layer = self.layers[t - 1]
-        if skip:
-            if isinstance(layer, IntervalModel):
-                return layer.induced_graph(skip=skip)
-            keep = [v for v in range(self.n) if v not in skip]
-            if len(keep) + len(skip) != self.n:
-                raise ValueError(f"skip set holds vertices outside 0..{self.n - 1}")
-            return layer.induced(keep)
         if isinstance(layer, StaticGraph):
-            return layer
+            if not skip:
+                return layer.edges
+            idx = dense_index(self.n, skip)
+            return frozenset(
+                (idx[u], idx[v])
+                for u, v in layer.edges
+                if u not in skip and v not in skip
+            )
+        if skip:
+            return frozenset(layer.edge_pairs(skip=skip))
         cached = self._layer_cache[t - 1]
         if cached is None:
-            cached = layer.induced_graph()
+            cached = frozenset(layer.edge_pairs())
             self._layer_cache[t - 1] = cached
         return cached
+
+    def layer_graph(self, t: int) -> StaticGraph:
+        """The static graph of layer t (1-based): an edge list itself, or a
+        graph built on each call from a model's cached layer_edges."""
+        edges = self.layer_edges(t)
+        layer = self.layers[t - 1]
+        return layer if isinstance(layer, StaticGraph) else StaticGraph(self.n, edges)
 
     def __eq__(self, other) -> bool:
         return (

@@ -7,9 +7,10 @@ property, which is how recognition works here; any C1P column order makes
 every maximal clique of every layer a contiguous block, and a contiguous
 clique cover forces the per-layer agreement condition directly.
 Recognition also answers for the instance minus a deleted vertex set
-without building that instance: the clique and layer-graph sweeps run on
-each layer's cached integer endpoint ranks and pass over the deleted
-vertices.
+without building that instance or any graph: the clique and edge sweeps
+run on each layer's cached integer endpoint ranks and pass over the
+deleted vertices, and the ordering found is re-checked against each
+layer's edge set (`layer_edges`).
 
 On an order-preserving instance the conflict graph itself is an interval
 graph that agrees with the common ordering: for u before v, u meets v in
@@ -27,10 +28,10 @@ from .conflict import WindowSemantics, conflict_graph
 from .intervals import (
     REOrdering,
     c1p_test,
+    disagreeing_pair,
     ensure_unit,
     maximal_cliques,
     normalized_model_for,
-    ordering_agrees,
 )
 from .model import InternalError, IntervalModel, TemporalIntervalInstance, VertexRef
 
@@ -96,18 +97,19 @@ def recognize_order_preserving(
 
     The report is the one for `remove_vertices(inst, deleted)`: ordering
     and witness are over the survivors re-indexed densely in ascending
-    order. No reduced instance is built: the clique and layer-graph sweeps
-    pass over the deleted vertices. The unit declaration is checked on inst
-    itself (pooled_clique_matrix), which covers inst - deleted because unit
-    interval graphs are hereditary.
+    order. No reduced instance and no graph is built: the clique and edge
+    sweeps pass over the deleted vertices. The unit declaration is checked
+    on inst itself (pooled_clique_matrix), which covers inst - deleted
+    because unit interval graphs are hereditary.
 
-    On success the returned ordering is re-verified against every layer of
-    inst - deleted by ordering_agrees (an internal error otherwise, since a
-    contiguous clique arrangement always agrees). A negative answer carries
-    the minimal column witness, or None with `witness=False`, which skips
-    the shrink: callers that only need the decision pass it. Non-unit
-    instances are refused; recognition of non-unit temporal interval graphs
-    is not offered.
+    On success the returned ordering is re-verified against the edge set
+    of every layer of inst - deleted by disagreeing_pair, ordering_agrees
+    on edges (an internal error otherwise, since a contiguous clique
+    arrangement always agrees). A negative answer carries the minimal
+    column witness, or None with `witness=False`, which skips the shrink:
+    callers that only need the decision pass it. Non-unit instances are
+    refused; recognition of non-unit temporal interval graphs is not
+    offered.
     """
     deleted = inst.vertex_set(deleted)
     rows = pooled_clique_matrix(inst, deleted=deleted)
@@ -116,7 +118,7 @@ def recognize_order_preserving(
         return OrderPreservationReport(None, res.witness)
     ordering = REOrdering(res.ordering)
     for t in range(1, inst.tau + 1):
-        pair = ordering_agrees(inst.layer_graph(t, skip=deleted), ordering)
+        pair = disagreeing_pair(inst.layer_edges(t, skip=deleted), ordering)
         if pair is not None:
             raise InternalError(
                 f"C1P ordering disagrees with layer {t}: violating pair {pair}"

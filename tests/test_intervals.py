@@ -13,6 +13,7 @@ from tis.intervals import (
     OrderingIncompatible,
     REOrdering,
     c1p_test,
+    disagreeing_pair,
     ensure_unit,
     maximal_cliques,
     mwis_interval,
@@ -194,9 +195,35 @@ class TestSweepKernels:
     @given(m=models, drop=st.sets(st.integers(0, 13)))
     def test_induced_graph_matches_pairwise_scan(self, m, drop):
         skip, ivs = survivors(m, drop)
+        want = oracles.model_edge_set(ivs)
+        pairs = m.edge_pairs(skip=skip)
+        assert all(a < b for a, b in pairs) and len(set(pairs)) == len(pairs)
+        assert set(pairs) == want
         g = m.induced_graph(skip=skip)
         assert g.n == len(ivs)
-        assert set(g.edges) == oracles.model_edge_set(ivs)
+        assert set(g.edges) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=models,
+        drop=st.sets(st.integers(0, 13)),
+        mode=st.sampled_from(["model", "edges"]),
+    )
+    def test_layer_edges_match_filtered_layer(self, m, drop, mode):
+        # the layer's edges without the skipped vertices, in either mode:
+        # the whole layer's edges, filtered and re-indexed
+        skip, _ = survivors(m, drop)
+        layer = m
+        if mode == "edges":
+            layer = StaticGraph(m.n, oracles.model_edge_set(m.intervals))
+        names = [f"v{i}" for i in range(m.n)]
+        inst = TemporalIntervalInstance(names, [1] * m.n, 1, 1, 0, mode, [layer], False)
+        whole = oracles.layer_edge_set(inst, 1)
+        idx = {v: i for i, v in enumerate(v for v in range(m.n) if v not in skip)}
+        want = {(idx[u], idx[v]) for u, v in whole if u in idx and v in idx}
+        assert inst.layer_edges(1, skip=skip) == want
+        assert inst.layer_edges(1) == whole
+        assert inst.layer_graph(1).edges == whole
 
     @settings(max_examples=300, deadline=None)
     @given(m=models, drop=st.sets(st.integers(0, 13)))
@@ -206,7 +233,12 @@ class TestSweepKernels:
 
     def test_skip_outside_the_model_refused(self):
         m = model((0, 1), (2, 3))
-        for sweep in (m.induced_graph, lambda skip: maximal_cliques(m, skip=skip)):
+        sweeps = (
+            m.edge_pairs,
+            m.induced_graph,
+            lambda skip: maximal_cliques(m, skip=skip),
+        )
+        for sweep in sweeps:
             with pytest.raises(ValueError):
                 sweep(skip=frozenset({2}))
 
@@ -236,6 +268,29 @@ class TestOrderingAgrees:
         rng.shuffle(order)
         want = oracles.first_disagreeing_pair(n, edges, order)
         assert ordering_agrees(StaticGraph(n, edges), REOrdering(tuple(order))) == want
+        reversed_pairs = [(v, u) for u, v in edges]
+        assert disagreeing_pair(reversed_pairs, REOrdering(tuple(order))) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=models,
+        drop=st.sets(st.integers(0, 13)),
+        seed=st.integers(0, 10**6),
+        swaps=st.integers(0, 3),
+    )
+    def test_matches_scan_on_survivor_edge_pairs(self, m, drop, seed, swaps):
+        # as recognition re-checks a layer: an ordering of the survivors
+        # against the sweep's edge pairs without the deleted vertices
+        skip, ivs = survivors(m, drop)
+        rng = random.Random(seed)
+        order = sorted(range(len(ivs)), key=lambda v: (ivs[v][1], v))
+        for _ in range(swaps if len(order) > 1 else 0):
+            i = rng.randrange(len(order) - 1)
+            order[i], order[i + 1] = order[i + 1], order[i]
+        edges = oracles.model_edge_set(ivs)
+        want = oracles.first_disagreeing_pair(len(ivs), edges, order)
+        got = disagreeing_pair(m.edge_pairs(skip=skip), REOrdering(tuple(order)))
+        assert got == want
 
 
 class TestShrinkWitness:

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,8 @@ from tis.order import (
     pooled_clique_matrix,
     recognize_order_preserving,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def edges_copy(inst):
@@ -80,7 +83,7 @@ class TestRecognition:
 
     def test_failed_reverification_is_internal_error(self, op_corpus, monkeypatch):
         # a C1P ordering that some layer rejects is a library bug, not bad input
-        monkeypatch.setattr(tis.order, "ordering_agrees", lambda g, ordering: (0, 1))
+        monkeypatch.setattr(tis.order, "disagreeing_pair", lambda g, ordering: (0, 1))
         for deleted in ((), (0, 2)):
             with pytest.raises(tis.InternalError):
                 recognize_order_preserving(op_corpus[0], deleted=deleted)
@@ -196,6 +199,22 @@ class TestDeletedSet:
         by_name = recognize_order_preserving(two_layer_path, deleted=["v1"])
         assert by_name == recognize_order_preserving(two_layer_path, deleted={0})
         assert by_name.is_order_preserving
+
+    def test_model_layers_build_no_static_graph(self, monkeypatch):
+        # recognition's re-check of inst - D, the deletion search and the
+        # independence check of a proper subset read the layers' edge sets
+        inst = tis.parse_instance((DATA / "planted_n20.tis").read_text())
+
+        def refuse(self, n, edges=()):
+            raise AssertionError("a StaticGraph was built")
+
+        monkeypatch.setattr(StaticGraph, "__init__", refuse)
+        found = tis.min_opvd(inst)
+        assert found.size == 2
+        rep = recognize_order_preserving(inst, deleted=found.deletion_set)
+        assert rep.is_order_preserving
+        for selected in ([0, 1], range(1, inst.n), found.deletion_set):
+            tis.delta_independence_check(inst, selected)
 
     def test_unknown_vertex_refused(self, two_layer_path):
         with pytest.raises(tis.InstanceError):
