@@ -330,10 +330,10 @@ def normalized_model_for(g: StaticGraph, ordering: REOrdering) -> IntervalModel:
     1-based position, left(v) = smallest position among vertices sharing a
     clique with v (equivalently min over N(v) ∪ {v}). Raises
     OrderingIncompatible when the ordering does not agree with g."""
-    intervals: list[tuple[Fraction, Fraction]] = [None] * g.n  # type: ignore
+    intervals: list[tuple[int, int]] = [None] * g.n  # type: ignore
     lows = _leftmost_earlier(g.n, g.edges, ordering)
     for j, (v, lo) in enumerate(zip(ordering.order, lows)):
-        intervals[v] = (Fraction(lo + 1), Fraction(j + 1))
+        intervals[v] = (lo + 1, j + 1)
     return IntervalModel(intervals)
 
 
@@ -386,9 +386,9 @@ def _unit_model(g: StaticGraph) -> Optional[tuple[IntervalModel, REOrdering]]:
         lows = _leftmost_earlier(n, g.edges, sigma)
     except OrderingIncompatible:
         raise InternalError("umbrella ordering does not agree with the graph") from None
-    intervals: list[tuple[Fraction, Fraction]] = [None] * n  # type: ignore
+    intervals: list[tuple[int, int]] = [None] * n  # type: ignore
     for v, x in zip(sigma.order, _unit_lefts(lows)):
-        intervals[v] = (Fraction(x), Fraction(x + n))
+        intervals[v] = (x, x + n)
     model = IntervalModel(intervals)
     if model.induced_graph() != g:
         raise InternalError("synthesized unit model mismatch")

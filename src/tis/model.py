@@ -5,11 +5,12 @@ An instance bundles a weighted vertex set, tau layers (each either an interval
 model or an explicit edge list), a window width delta, and a target size k.
 All endpoints and weights are exact rationals (`fractions.Fraction`); adjacency
 in a model is closed-interval intersection, so touching endpoints count as an
-edge. Endpoints are stored as `Fraction`s, but sorted and tie-tested on exact
-integer keys, their numerators scaled to the LCM of their denominators, while
-that LCM stays within a fixed bit width (`_endpoint_keys`). Every value is
-immutable after construction and every operation here is a pure function of
-its inputs.
+edge. A model stores its endpoints as exact integer keys over one scale, the
+LCM of their denominators, while that LCM stays within a fixed bit width
+(`_endpoint_keys`); past it the keys are the `Fraction`s themselves. The keys
+are sorted, compared and printed as they are, and read back as `Fraction`s
+only when asked. Every value is immutable after construction and every
+operation here is a pure function of its inputs.
 
 Instance file format (UTF-8, line oriented, '#' starts a comment):
 
@@ -25,6 +26,9 @@ Instance file format (UTF-8, line oriented, '#' starts a comment):
     interval <name> <left> <right>   (model mode)
     edge <u> <v>                     (edges mode)
 
+Integers and rationals are written in ASCII digits, 'p' or 'p/q' with an
+optional sign and q > 0.
+
 Canonical serialization: header fields in the order above, vertices in
 declaration order, layers ascending, interval/edge lines sorted
 lexicographically.
@@ -33,6 +37,7 @@ lexicographically.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,17 +78,37 @@ class InternalError(RuntimeError):
     library, never a property of the input."""
 
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9][0-9]*))?$")
+# ASCII digits only: `\d` would also take other scripts' decimal digits.
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _NAME_RE = re.compile(r"^\S+$")
+
+
+def _parse_ratio(token: str, line: int | None) -> tuple[int, int]:
+    """Parse 'p' or 'p/q' into the reduced pair (p, q), q > 0."""
+    m = _RATIONAL_RE.fullmatch(token)
+    if not m:
+        raise InstanceError(f"bad rational {token!r} (expected p or p/q)", line)
+    p, q = m.groups()
+    try:
+        p = int(p)
+        if q is None:
+            return p, 1
+        q = int(q)
+    except ValueError:  # past the digits int() converts, from Python 3.10.7 on
+        message = f"numeral of {len(token)} characters is too long"
+        raise InstanceError(message, line) from None
+    g = math.gcd(p, q)
+    return (p // g, q // g) if g != 1 else (p, q)
 
 
 def parse_rational(token: str, line: int | None = None) -> Fraction:
     """Parse 'p' or 'p/q' into an exact rational; anything else is an error."""
-    m = _RATIONAL_RE.match(token)
-    if not m:
-        raise InstanceError(f"bad rational {token!r} (expected p or p/q)", line)
-    p, q = m.groups()
-    return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    return Fraction(*_parse_ratio(token, line))
+
+
+def _format_ratio(p: int, q: int) -> str:
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def format_rational(x: Fraction) -> str:
@@ -183,25 +208,26 @@ class EndpointRanks(NamedTuple):
 _KEY_BITS = 1024
 
 
-def _endpoint_keys(intervals: Sequence[tuple[Fraction, Fraction]]) -> Sequence:
-    """Sort keys for the endpoints, vertex v's ends at 2v and 2v + 1, that
-    compare and tie exactly as the endpoints do: each numerator scaled to
-    L, the LCM of the distinct denominators, or the endpoints themselves
-    once L passes _KEY_BITS bits."""
-    ends = [x for iv in intervals for x in iv]
-    pairs = [x.as_integer_ratio() for x in ends]
-    dens = {d for _, d in pairs}
+def _endpoint_keys(
+    nums: Sequence[int], dens: Sequence[int]
+) -> tuple[tuple, int | None]:
+    """Keys for the endpoints p/q given reduced (q > 0) in `nums` and
+    `dens`, vertex v's ends at 2v and 2v + 1, that compare and tie exactly
+    as the endpoints do, and their scale: each numerator scaled to L, the
+    LCM of the distinct denominators, and L; or the endpoints themselves
+    as `Fraction`s and None once L passes _KEY_BITS bits. L is the least
+    common denominator, so equal endpoint lists give equal keys."""
+    distinct = set(dens)
     scale = 1
-    for d in dens:
+    for d in distinct:
         scale = math.lcm(scale, d)
         if scale.bit_length() > _KEY_BITS:
-            return ends
-    mults = {d: scale // d for d in dens}
-    return [p * mults[d] for p, d in pairs]
+            return tuple(map(Fraction, nums, dens)), None
+    mults = {d: scale // d for d in distinct}
+    return tuple(map(operator.mul, nums, map(mults.__getitem__, dens))), scale
 
 
-def _rank_endpoints(intervals: Sequence[tuple[Fraction, Fraction]]) -> EndpointRanks:
-    keys = _endpoint_keys(intervals)
+def _rank_endpoints(keys: Sequence) -> EndpointRanks:
     order = sorted(range(len(keys)), key=keys.__getitem__)  # stable: ties by v
     rank = [0] * len(keys)
     r, prev = -1, None
@@ -239,42 +265,71 @@ class IntervalModel:
     """Closed intervals [left, right] with exact rational endpoints, one per vertex.
 
     The induced graph has an edge {u, v} exactly when the two intervals
-    intersect; touching endpoints intersect.
+    intersect; touching endpoints intersect. The model stores only the
+    endpoint keys of `_endpoint_keys` and their scale; `intervals`, `left`
+    and `right` build their `Fraction`s when read.
     """
 
-    __slots__ = ("intervals", "_ranks")
+    __slots__ = ("_keys", "_scale", "_ranks")
 
     def __init__(self, intervals: Iterable[tuple[Fraction, Fraction]]):
-        ivs = []
+        nums, dens = [], []
         for lo, hi in intervals:
-            if type(lo) is not Fraction:
+            if type(lo) is not int and type(lo) is not Fraction:
                 lo = Fraction(lo)
-            if type(hi) is not Fraction:
+            if type(hi) is not int and type(hi) is not Fraction:
                 hi = Fraction(hi)
-            if lo > hi:
+            p, q = lo.as_integer_ratio()
+            r, s = hi.as_integer_ratio()
+            if p * s > r * q:
                 raise ValueError(f"empty interval [{lo}, {hi}]")
-            ivs.append((lo, hi))
-        object.__setattr__(self, "intervals", tuple(ivs))
-        object.__setattr__(self, "_ranks", None)
+            nums += (p, r)
+            dens += (q, s)
+        _set_keys(self, *_endpoint_keys(nums, dens))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntervalModel is immutable")
 
     @property
     def n(self) -> int:
-        return len(self.intervals)
+        return len(self._keys) >> 1
+
+    def _value(self, key) -> Fraction:
+        return key if self._scale is None else Fraction(key, self._scale)
+
+    @property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        keys, scale = self._keys, self._scale
+        ends = keys if scale is None else [Fraction(key, scale) for key in keys]
+        return tuple(zip(ends[0::2], ends[1::2]))
 
     def left(self, v: int) -> Fraction:
-        return self.intervals[v][0]
+        return self._value(self._keys[2 * v])
 
     def right(self, v: int) -> Fraction:
-        return self.intervals[v][1]
+        return self._value(self._keys[2 * v + 1])
+
+    def _endpoint_texts(self) -> list[str]:
+        """Each endpoint as format_rational prints it, vertex v's ends at
+        2v and 2v + 1, reduced from the keys without building Fractions."""
+        keys, scale = self._keys, self._scale
+        if scale is None or scale == 1:
+            return list(map(str, keys))
+        tail = f"/{scale}"
+        texts = []
+        for key in keys:
+            g = math.gcd(key, scale)
+            if g == 1:  # already reduced, the common case
+                texts.append(f"{key}{tail}")
+            else:
+                texts.append(_format_ratio(key // g, scale // g))
+        return texts
 
     def ranks(self) -> EndpointRanks:
         """The integer rank encoding of the endpoints, built on first use
         and kept: the model is immutable."""
         if self._ranks is None:
-            object.__setattr__(self, "_ranks", _rank_endpoints(self.intervals))
+            object.__setattr__(self, "_ranks", _rank_endpoints(self._keys))
         return self._ranks
 
     def edge_pairs(
@@ -314,24 +369,46 @@ class IntervalModel:
         return StaticGraph(self.n - len(skip), self.edge_pairs(skip=skip))
 
     def restrict(self, keep: Sequence[int]) -> "IntervalModel":
-        return IntervalModel(self.intervals[v] for v in keep)
+        """The model of the vertices in `keep`, in that order: the kept keys
+        and the scale over their gcd, which leaves the least common
+        denominator as scale, as `_endpoint_keys` has it."""
+        keys = self._keys
+        kept = [x for v in keep for x in (keys[2 * v], keys[2 * v + 1])]
+        if self._scale is None:
+            return IntervalModel(zip(kept[0::2], kept[1::2]))
+        g = math.gcd(self._scale, *kept)
+        return _keyed_model(tuple([key // g for key in kept]), self._scale // g)
 
     def is_unit_length(self) -> bool:
         """True when every interval has the same rational length."""
-        if self.n <= 1:
-            return True
-        keys = _endpoint_keys(self.intervals)
-        length = keys[1] - keys[0]
-        return all(keys[i + 1] - keys[i] == length for i in range(2, len(keys), 2))
+        keys = self._keys
+        return len(set(map(operator.sub, keys[1::2], keys[0::2]))) <= 1
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntervalModel) and self.intervals == other.intervals
+        return (
+            isinstance(other, IntervalModel)
+            and self._scale == other._scale
+            and self._keys == other._keys
+        )
 
     def __hash__(self) -> int:
-        return hash(self.intervals)
+        return hash((self._scale, self._keys))
 
     def __repr__(self) -> str:
         return f"IntervalModel({list(self.intervals)!r})"
+
+
+def _set_keys(model: IntervalModel, keys: tuple, scale: int | None) -> None:
+    object.__setattr__(model, "_keys", keys)
+    object.__setattr__(model, "_scale", scale)
+    object.__setattr__(model, "_ranks", None)
+
+
+def _keyed_model(keys: tuple, scale: int | None) -> IntervalModel:
+    """The model with these keys and scale, as `_endpoint_keys` gives them."""
+    model = object.__new__(IntervalModel)
+    _set_keys(model, keys, scale)
+    return model
 
 
 Layer = Union[IntervalModel, StaticGraph]
@@ -556,7 +633,7 @@ def parse_instance(text: str) -> TemporalIntervalInstance:
     if toks != ["tis", "1"]:
         raise InstanceError("expected header 'tis 1'", lineno)
 
-    header: dict[str, str] = {}
+    header: dict[str, tuple[str, int]] = {}  # key -> (value, line)
     pos = 1
     while pos < len(lines):
         lineno, toks = lines[pos]
@@ -566,32 +643,33 @@ def parse_instance(text: str) -> TemporalIntervalInstance:
             raise InstanceError(f"expected '{toks[0]} <value>'", lineno)
         if toks[0] in header:
             raise InstanceError(f"duplicate {toks[0]} line", lineno)
-        header[toks[0]] = toks[1]
+        header[toks[0]] = (toks[1], lineno)
         pos += 1
 
     for key in ("mode", "n", "tau", "delta", "k"):
         if key not in header:
             raise InstanceError(f"missing {key} line")
-    mode = header["mode"]
+    mode, lineno = header["mode"]
     if mode not in ("model", "edges"):
-        raise InstanceError(f"mode must be model or edges, got {mode!r}")
+        raise InstanceError(f"mode must be model or edges, got {mode!r}", lineno)
 
     def intfield(key: str) -> int:
-        val = header[key]
-        if not re.match(r"^[+-]?\d+$", val):
-            raise InstanceError(f"{key} must be an integer, got {val!r}")
-        return int(val)
+        val, lineno = header[key]
+        if not _INTEGER_RE.fullmatch(val):
+            raise InstanceError(f"{key} must be an integer, got {val!r}", lineno)
+        return _parse_ratio(val, lineno)[0]
 
     n = intfield("n")
     tau = intfield("tau")
     delta = intfield("delta")
     k = intfield("k")
     if n < 0:
-        raise InstanceError("n must be nonnegative")
+        raise InstanceError("n must be nonnegative", header["n"][1])
     if "unit" in header:
-        if header["unit"] not in ("true", "false"):
-            raise InstanceError(f"unit must be true or false, got {header['unit']!r}")
-        unit_flag = header["unit"] == "true"
+        unit, lineno = header["unit"]
+        if unit not in ("true", "false"):
+            raise InstanceError(f"unit must be true or false, got {unit!r}", lineno)
+        unit_flag = unit == "true"
     else:
         unit_flag = mode == "model"
 
@@ -630,7 +708,9 @@ def parse_instance(text: str) -> TemporalIntervalInstance:
             )
         pos += 1
         if mode == "model":
-            ivs: dict[int, tuple[Fraction, Fraction]] = {}
+            # vertex v's ends p/q at 2v and 2v + 1; q = 0 until its line
+            nums = [0] * (2 * n)
+            dens = [0] * (2 * n)
             while pos < len(lines) and lines[pos][1][0] == "interval":
                 lineno, toks = lines[pos]
                 if len(toks) != 4:
@@ -638,21 +718,22 @@ def parse_instance(text: str) -> TemporalIntervalInstance:
                 name = toks[1]
                 if name not in name_to_index:
                     raise InstanceError(f"unknown vertex {name!r}", lineno)
-                v = name_to_index[name]
-                if v in ivs:
+                i = 2 * name_to_index[name]
+                if dens[i]:
                     raise InstanceError(f"duplicate interval for {name!r}", lineno)
-                lo = parse_rational(toks[2], lineno)
-                hi = parse_rational(toks[3], lineno)
-                if lo > hi:
+                p, q = _parse_ratio(toks[2], lineno)
+                r, s = _parse_ratio(toks[3], lineno)
+                if p * s > r * q:
+                    lo, hi = _format_ratio(p, q), _format_ratio(r, s)
                     raise InstanceError(f"empty interval [{lo}, {hi}]", lineno)
-                ivs[v] = (lo, hi)
+                nums[i], nums[i + 1], dens[i], dens[i + 1] = p, r, q, s
                 pos += 1
-            missing = [names[v] for v in range(n) if v not in ivs]
-            if missing:
+            if 0 in dens:
+                name = names[dens.index(0) // 2]
                 raise InstanceError(
-                    f"layer {expected_t}: missing interval for {missing[0]!r}"
+                    f"layer {expected_t}: missing interval for {name!r}"
                 )
-            layers.append(IntervalModel(ivs[v] for v in range(n)))
+            layers.append(_keyed_model(*_endpoint_keys(nums, dens)))
         else:
             edges: set[tuple[int, int]] = set()
             while pos < len(lines) and lines[pos][1][0] == "edge":
@@ -696,18 +777,15 @@ def serialize_instance(inst: TemporalIntervalInstance) -> str:
     out.append(f"unit {'true' if inst.unit_flag else 'false'}")
     for name, w in zip(inst.names, inst.weights):
         out.append(f"vertex {name} {format_rational(w)}")
+    names = inst.names
+    by_name = sorted(range(inst.n), key=names.__getitem__)
     for t in range(1, inst.tau + 1):
         out.append(f"layer {t}")
         layer = inst.layers[t - 1]
         if isinstance(layer, IntervalModel):
-            rows = [
-                (inst.names[v], lo, hi)
-                for v, (lo, hi) in enumerate(layer.intervals)
-            ]
-            for name, lo, hi in sorted(rows, key=lambda r: r[0]):
-                out.append(
-                    f"interval {name} {format_rational(lo)} {format_rational(hi)}"
-                )
+            ends = layer._endpoint_texts()
+            for v in by_name:
+                out.append(f"interval {names[v]} {ends[2 * v]} {ends[2 * v + 1]}")
         else:
             pairs = sorted(
                 tuple(sorted((inst.names[u], inst.names[v])))

@@ -1,10 +1,11 @@
 import hashlib
+import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -29,7 +30,9 @@ def test_parse_rational_accepts_reduced_forms():
     assert parse_rational("+4/6", 1) == F(2, 3)
 
 
-@pytest.mark.parametrize("bad", ["", "1/0", "1.5", "a", "1/-2", "2/", "/3"])
+@pytest.mark.parametrize(
+    "bad", ["", "1/0", "1.5", "a", "1/-2", "2/", "/3", "\u0663", "1/\u0663", "3\n"]
+)
 def test_parse_rational_rejects_garbage(bad):
     with pytest.raises(InstanceError):
         parse_rational(bad, 3)
@@ -67,6 +70,10 @@ def test_interval_model_queries():
     # touching endpoints count: 0 meets 1, and 2 is disjoint from 0
     assert m.induced_graph().edges == frozenset({(0, 1)})
     assert m.is_unit_length()
+    assert m.left(2) == F(5, 2) and m.right(2) == F(7, 2)
+    ints = IntervalModel([(0, 1), (1, 2), (F(5, 2), F(7, 2))])
+    assert ints == m and hash(ints) == hash(m)
+    assert all(type(x) is F for iv in ints.intervals for x in iv)
     assert not IntervalModel(((F(0), F(2)), (F(0), F(1)))).is_unit_length()
 
 
@@ -147,6 +154,78 @@ def test_parse_is_linear_in_the_vertex_lines():
     inst = parse_instance(text)
     assert time.perf_counter() - start < 1
     assert inst.n == n and inst.layers[0].left(4) == F(4, 3)
+
+
+def _one_vertex_text(k="0", weight="1", right="1"):
+    return (
+        f"tis 1\nmode model\nn 1\ntau 1\ndelta 1\nk {k}\n"
+        f"vertex a {weight}\nlayer 1\ninterval a 0 {right}\n"
+    )
+
+
+_FIELD_LINES = {"k": 6, "weight": 7, "right": 9}
+
+
+@pytest.mark.parametrize(
+    "field, form", [("k", "{}"), ("weight", "{}"), ("right", "{}"), ("right", "1/{}")]
+)
+def test_over_long_numerals_are_instance_errors(field, form):
+    # Python 3.10.7 and later cap the digits int() converts (0: no cap).
+    # Past the cap a numeral is an input error with its line; without one
+    # it parses to its value.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    numeral = form.format("1" + "0" * max(limit, 5000))
+    text = _one_vertex_text(**{field: numeral})
+    if limit:
+        with pytest.raises(InstanceError) as err:
+            parse_instance(text)
+        assert err.value.line == _FIELD_LINES[field]
+    else:
+        inst = parse_instance(text)
+        got = {"k": inst.k, "weight": inst.weights[0], "right": inst.layers[0].right(0)}
+        assert got[field] == F(numeral)
+
+
+@pytest.mark.parametrize("field", sorted(_FIELD_LINES))
+def test_parse_refuses_non_ascii_digits(field):
+    # U+0663 ARABIC-INDIC DIGIT THREE is a decimal digit that int() reads
+    # as 3, but the file format's numerals are ASCII.
+    with pytest.raises(InstanceError) as err:
+        parse_instance(_one_vertex_text(**{field: "\u0663"}))
+    assert err.value.line == _FIELD_LINES[field]
+
+
+def test_representation_scales_to_20000_vertices(monkeypatch):
+    # Parse, serialize and restrict run on the endpoint keys, in time linear
+    # in the text: the parse builds a Fraction per weight but none per
+    # endpoint, and serialize and remove_vertices build none at all.
+    inst = tis.gen_order_preserving(20_000, 5, 2, 0, seed=1)
+    text = serialize_instance(inst)
+    built = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counted))
+    start = time.perf_counter()
+    parsed = parse_instance(text)
+    parse_s = time.perf_counter() - start
+    parse_built = len(built)
+    start = time.perf_counter()
+    again = serialize_instance(parsed)
+    serialize_s = time.perf_counter() - start
+    start = time.perf_counter()
+    red = remove_vertices(parsed, range(0, parsed.n, 2))
+    remove_s = time.perf_counter() - start
+    monkeypatch.undo()
+    assert parse_built <= parsed.n
+    assert len(built) == parse_built
+    assert parse_s < 5 and serialize_s < 1 and remove_s < 1
+    assert parsed == inst and again == text
+    odd = [iv for v, iv in enumerate(inst.layers[0].intervals) if v % 2]
+    assert red.n == 10_000 and red.layers[0] == IntervalModel(odd)
 
 
 def test_parse_rejects_duplicate_header_keys():
@@ -287,11 +366,14 @@ def _models(draw):
 
 
 def test_endpoint_keys_switch_to_fractions_past_the_width_bound():
-    assert _endpoint_keys([(F(-3, 4), F(1, 6)), (F(5), F(5))]) == [-9, 2, 60, 60]
+    assert _endpoint_keys([-3, 1, 5, 5], [4, 6, 1, 1]) == ((-9, 2, 60, 60), 12)
     assert _KEY_BITS < 521 + 607
-    big = [(F(1, 2**521 - 1), F(1, 2**607 - 1)), (F(0), F(0))]
-    assert _endpoint_keys(big) == [x for iv in big for x in iv]
-    assert all(type(k) is F for k in _endpoint_keys(big))
+    big = [F(1, 2**521 - 1), F(1, 2**607 - 1), F(0), F(0)]
+    keys, scale = _endpoint_keys(
+        [x.numerator for x in big], [x.denominator for x in big]
+    )
+    assert scale is None and keys == tuple(big)
+    assert all(type(k) is F for k in keys)
 
 
 @settings(max_examples=300, deadline=None)
@@ -328,3 +410,43 @@ def test_distinct_denominators_rank_in_bounded_memory():
     assert unit
     assert peak < 50_000_000
     assert tuple(ranks) == oracles.endpoint_ranks(ivs)
+
+
+@st.composite
+def _models_and_selections(draw):
+    ivs = draw(_models())
+    keep = draw(st.lists(st.integers(0, len(ivs) - 1))) if ivs else []
+    return ivs, keep
+
+
+# Past the width bound with both of the largest primes; vertices 0 and 2
+# alone fit within it again.
+_WIDE = [(F(1, 2**521 - 1), F(1)), (F(-1, 2**607 - 1), F(0)), (F(2, 3), F(2, 3))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_models_and_selections())
+@example(case=(_WIDE, [2, 0]))
+@example(case=(_WIDE, [1, 1, 0]))
+def test_model_api_reads_back_the_normalized_input(case):
+    ivs, keep = case
+    m = IntervalModel(ivs)
+    want = tuple((F(lo), F(hi)) for lo, hi in ivs)
+    assert m.intervals == want and m.n == len(ivs)
+    assert [(m.left(v), m.right(v)) for v in range(m.n)] == list(want)
+    sub = m.restrict(keep)
+    fresh = IntervalModel([ivs[v] for v in keep])
+    assert sub == fresh and hash(sub) == hash(fresh)
+    assert sub.intervals == tuple(want[v] for v in keep)
+    n = len(ivs)
+    inst = TemporalIntervalInstance(
+        names=[f"v{v}" for v in range(n)],
+        weights=[F(1)] * n,
+        tau=2,
+        delta=1,
+        k=0,
+        mode="model",
+        layers=(m, m.restrict(range(n - 1, -1, -1))),
+        unit_flag=False,
+    )
+    assert parse_instance(serialize_instance(inst)) == inst
