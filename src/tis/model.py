@@ -3,7 +3,8 @@ instance file I/O, and elementary graph algebra.
 
 An instance bundles a weighted vertex set, tau layers (each either an interval
 model or an explicit edge list), a window width delta, and a target size k.
-All endpoints and weights are exact rationals (`fractions.Fraction`); adjacency
+All endpoints and weights are exact rationals, given as `int` or
+`fractions.Fraction` (any other number type is a TypeError); adjacency
 in a model is closed-interval intersection, so touching endpoints count as an
 edge. A model stores its endpoints as exact integer keys over one scale, the
 LCM of their denominators, while that LCM stays within a fixed bit width
@@ -43,9 +44,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
-Rational = Fraction
-
 VertexRef = Union[int, str]
+
+# The only number types an instance takes: both are exact, and a float,
+# Decimal or other type would be converted with its binary or decimal error.
+_EXACT = (int, Fraction)
 
 
 class InstanceError(ValueError):
@@ -111,11 +114,6 @@ def _format_ratio(p: int, q: int) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 
 
-def format_rational(x: Fraction) -> str:
-    """Reduced 'p/q', or plain 'p' when the denominator is 1."""
-    return str(x)
-
-
 class StaticGraph:
     """An undirected graph on vertices 0..n-1: one layer, or a conflict graph.
 
@@ -145,11 +143,6 @@ class StaticGraph:
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("StaticGraph is immutable")
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -267,7 +260,8 @@ class IntervalModel:
     The induced graph has an edge {u, v} exactly when the two intervals
     intersect; touching endpoints intersect. The model stores only the
     endpoint keys of `_endpoint_keys` and their scale; `intervals`, `left`
-    and `right` build their `Fraction`s when read.
+    and `right` build their `Fraction`s when read. Endpoints must be `int`
+    or `Fraction`: anything else is a TypeError.
     """
 
     __slots__ = ("_keys", "_scale", "_ranks")
@@ -275,10 +269,10 @@ class IntervalModel:
     def __init__(self, intervals: Iterable[tuple[Fraction, Fraction]]):
         nums, dens = [], []
         for lo, hi in intervals:
-            if type(lo) is not int and type(lo) is not Fraction:
-                lo = Fraction(lo)
-            if type(hi) is not int and type(hi) is not Fraction:
-                hi = Fraction(hi)
+            if type(lo) not in _EXACT or type(hi) not in _EXACT:
+                raise TypeError(
+                    f"interval [{lo!r}, {hi!r}]: endpoints must be int or Fraction"
+                )
             p, q = lo.as_integer_ratio()
             r, s = hi.as_integer_ratio()
             if p * s > r * q:
@@ -310,7 +304,7 @@ class IntervalModel:
         return self._value(self._keys[2 * v + 1])
 
     def _endpoint_texts(self) -> list[str]:
-        """Each endpoint as format_rational prints it, vertex v's ends at
+        """Each endpoint as str() prints its Fraction, vertex v's ends at
         2v and 2v + 1, reduced from the keys without building Fractions."""
         keys, scale = self._keys, self._scale
         if scale is None or scale == 1:
@@ -421,6 +415,8 @@ class TemporalIntervalInstance:
     'edges'). `unit_flag` declares that all intervals within each layer share
     one length; in model mode this is verified at construction, in edges mode
     it is a declaration that unit-dependent operations verify lazily, once.
+    Weights must be `int` or `Fraction` (anything else is a TypeError) and
+    are stored as `Fraction`s.
     """
 
     __slots__ = (
@@ -449,6 +445,10 @@ class TemporalIntervalInstance:
         unit_flag: bool,
     ):
         names = tuple(names)
+        weights = tuple(weights)
+        for w in weights:
+            if type(w) not in _EXACT:
+                raise TypeError(f"weight {w!r}: weights must be int or Fraction")
         weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
         n = len(names)
         if len(set(names)) != n:
@@ -525,16 +525,6 @@ class TemporalIntervalInstance:
 
     def vertex_set(self, refs: Iterable[VertexRef]) -> frozenset[int]:
         return frozenset(self.vertex_index(r) for r in refs)
-
-    def layer_model(self, t: int) -> IntervalModel:
-        if self.mode != "model":
-            raise InstanceError("instance has no interval models (edges mode)")
-        if not 1 <= t <= self.tau:
-            raise InstanceError(f"layer index {t} out of [1, {self.tau}]")
-        layer = self.layers[t - 1]
-        if not isinstance(layer, IntervalModel):
-            raise InternalError(f"model-mode layer {t} holds no interval model")
-        return layer
 
     def layer_edges(
         self, t: int, *, skip: frozenset[int] = frozenset()
@@ -766,8 +756,21 @@ def parse_instance(text: str) -> TemporalIntervalInstance:
         raise InstanceError(str(exc)) from exc
 
 
+def _number_text(inst: TemporalIntervalInstance, v: int, x: Fraction) -> str:
+    """x as serialize_instance writes it, a number of vertex v."""
+    try:
+        return str(x)
+    except ValueError:  # past the digits str() writes, from Python 3.10.7 on
+        message = "a number of more digits than int-to-text conversion allows"
+        raise InstanceError(f"vertex {inst.names[v]}: {message}") from None
+
+
 def serialize_instance(inst: TemporalIntervalInstance) -> str:
-    """Canonical deterministic text form; parse ∘ serialize is the identity."""
+    """Canonical deterministic text form; parse ∘ serialize is the identity.
+
+    A weight or endpoint with more digits than the interpreter converts to
+    text (sys.get_int_max_str_digits) is an InstanceError naming its
+    vertex, as the parser refuses such a numeral."""
     out = ["tis 1"]
     out.append(f"mode {inst.mode}")
     out.append(f"n {inst.n}")
@@ -775,15 +778,19 @@ def serialize_instance(inst: TemporalIntervalInstance) -> str:
     out.append(f"delta {inst.delta}")
     out.append(f"k {inst.k}")
     out.append(f"unit {'true' if inst.unit_flag else 'false'}")
-    for name, w in zip(inst.names, inst.weights):
-        out.append(f"vertex {name} {format_rational(w)}")
+    for v, (name, w) in enumerate(zip(inst.names, inst.weights)):
+        out.append(f"vertex {name} {_number_text(inst, v, w)}")
     names = inst.names
     by_name = sorted(range(inst.n), key=names.__getitem__)
     for t in range(1, inst.tau + 1):
         out.append(f"layer {t}")
         layer = inst.layers[t - 1]
         if isinstance(layer, IntervalModel):
-            ends = layer._endpoint_texts()
+            try:
+                ends = layer._endpoint_texts()
+            except ValueError:  # name the first vertex with a long endpoint
+                ivs = layer.intervals
+                ends = [_number_text(inst, v, x) for v in range(inst.n) for x in ivs[v]]
             for v in by_name:
                 out.append(f"interval {names[v]} {ends[2 * v]} {ends[2 * v + 1]}")
         else:

@@ -1,13 +1,19 @@
 """Deletion sets to order preservation.
 
 min_opvd finds a minimum vertex set whose removal makes the instance order
-preserving. The search is one loop over deletion-set sizes: a level whose
-sets all fail grows each set by one vertex of its branching set, an
-inclusion-minimal vertex set whose *induced sub-instance* is itself not
-order preserving. Order preservation is hereditary under taking induced
-sub-instances (restrict an agreeing representation), so every valid
-deletion set must meet every such set: level d holds every minimum deletion
-set of size d.
+preserving, by the implicit hitting-set scheme (Chandrasekaran, Karp,
+Moreno-Centeno and Vempala, SODA 2011; Moreno-Centeno and Karp, Oper. Res.
+2013). A witness is an inclusion-minimal vertex set whose *induced
+sub-instance* is itself not order preserving. Order preservation is
+hereditary under taking induced sub-instances (restrict an agreeing
+representation), so every deletion set meets every witness. The search
+stores witnesses and repeats: take H, the lexicographically smallest
+minimum set that meets every stored witness; return H if inst - H is order
+preserving, else shrink a new witness from the survivors of H and store it
+(H misses it, so no witness repeats and the loop ends). A returned H is a
+minimum deletion set, since no deletion set is smaller than a minimum
+hitting set, and the lexicographically smallest one, since every minimum
+deletion set is a hitting set of H's size.
 
 Branching on a minimal non-C1P column subset of the pooled clique matrix
 would NOT be complete: cliques must be re-extracted after a deletion (a
@@ -22,19 +28,10 @@ PQ-tree run. No reduced instance is built: each recognition runs on the
 instance itself with the deletion set passed as `deleted`, and its sweeps
 pass over those vertices (see order.recognize_order_preserving).
 opvd_exhaustive, the reference the search is tested against, still builds
-every reduced instance with remove_vertices. The branching witness is shrunk
-by QuickXplain (intervals.shrink_witness), which finds the set a
+every reduced instance with remove_vertices. A witness is shrunk by
+QuickXplain (intervals.shrink_witness), which finds the set a
 one-vertex-at-a-time pass would, with O(w log(n/w)) recognitions for a
 w-vertex witness.
-
-Witnesses are reused. By heredity a witness found for one deletion set is a
-witness for every set that misses it: such a set is not order preserving,
-and it may branch on that witness, since branching needs only some
-non-order-preserving vertex set disjoint from it. So min_opvd stores every
-witness it shrinks. Only a set that meets every stored witness is
-recognized, and only such a set, when it fails, is shrunk to a new one.
-Because each level is checked in lexicographic order, the returned set is
-the lexicographically smallest minimum whichever witness a set branches on.
 """
 
 from __future__ import annotations
@@ -86,40 +83,42 @@ def _result(
     )
 
 
-class _RecognitionCache:
-    """Memoized `is the instance minus this deletion set order preserving`."""
+def _hitting_set(witnesses: list[int], size: int, floor: int | None) -> int | None:
+    """The lexicographically smallest set of at most `size` vertices that
+    meets every witness (sets as bitmasks), or None. Callers deepen `size`
+    from a lower bound; `floor` is the answer for a subset of the
+    witnesses at the same size, or None, and no smaller set meets them.
 
-    def __init__(self, inst: TemporalIntervalInstance):
-        self.inst = inst
-        self.cache: dict[frozenset[int], OrderPreservationReport] = {}
-
-    def report(self, dels: frozenset[int]) -> OrderPreservationReport:
-        hit = self.cache.get(dels)
-        if hit is None:
-            hit = recognize_order_preserving(self.inst, witness=False, deleted=dels)
-            self.cache[dels] = hit
-        return hit
-
-    def is_op(self, dels: frozenset[int]) -> bool:
-        return self.report(dels).is_order_preserving
-
-    def result_for(self, dels: frozenset[int]) -> OpvdResult:
-        return _result(self.inst, dels, self.report(dels))
-
-
-def _hereditary_witness(
-    cache: _RecognitionCache, dels: frozenset[int]
-) -> tuple[int, ...]:
-    """An inclusion-minimal vertex set (disjoint from dels) whose induced
-    sub-instance is not order preserving. shrink_witness applies because
-    order preservation is hereditary and the empty instance is order
-    preserving."""
-    if cache.is_op(dels):
-        raise InternalError("no witness: the reduced instance is order preserving")
-    everything = frozenset(range(cache.inst.n))
-    return shrink_witness(
-        everything - dels, lambda kept: not cache.is_op(everything - kept)
-    )
+    A depth-first search that branches on the smallest vertex of the
+    witnesses not yet met, taking it before leaving it out (`drop`): it
+    decides vertices in ascending order, so it finds the smallest set
+    first. It takes no vertex that would put the set below `floor`, and
+    prunes when more witnesses than its room are pairwise disjoint, packed
+    greedily smallest first. Children get the witnesses left to meet.
+    """
+    stack = [(0, witnesses, size, 0)]
+    while stack:
+        chosen, unmet, room, drop = stack.pop()
+        if drop:
+            unmet = [w & ~drop for w in unmet]
+            if 0 in unmet:
+                continue
+        if not unmet:
+            return chosen
+        used = union = packed = 0
+        for w in sorted(unmet, key=int.bit_count):
+            union |= w
+            if not w & used:
+                used |= w
+                packed += 1
+        if packed > room:
+            continue
+        low = union & -union
+        stack.append((chosen, unmet, room, low))
+        if floor is None or floor & low or floor & (low - 1) != chosen:
+            taken = [w for w in unmet if not w & low]
+            stack.append((chosen | low, taken, room - 1, 0))
+    return None
 
 
 def min_opvd(
@@ -127,51 +126,47 @@ def min_opvd(
     budget: int | None = None,
     candidates: Optional[Iterable] = None,
 ) -> OpvdResult:
-    """Minimum deletion set to order preservation (unit instances only).
+    """Minimum deletion set to order preservation (unit instances only)
+    within the pool, every vertex or `candidates`; ties go to the
+    lexicographically smallest vertex-index set.
 
-    One loop over deletion-set sizes: each level is checked in
-    lexicographic order and the first order-preserving set is returned, so
-    ties go to the lexicographically smallest vertex-index set. A set that
-    fails grows by each vertex of a hereditary witness: the first stored
-    witness it misses (such a set is skipped, not recognized), else a new
-    one shrunk from it and stored. With `candidates` a set grows by each
-    pool vertex it lacks, so level d then holds every d-subset of the pool.
-    Raises BudgetExceeded when no set within `budget` exists (or, with
-    candidates, none within them).
+    Witnesses are shrunk within the pool: a minimal set P of pool vertices
+    such that deleting the pool's other vertices leaves an instance that is
+    not order preserving, so by heredity every deletion set in the pool
+    meets P. Raises BudgetExceeded when no set within `budget` exists: once
+    no set of at most `budget` vertices meets every witness, or, before a
+    shrink, when deleting the whole pool fails.
     """
     ensure_unit(inst)
-    cache = _RecognitionCache(inst)
-    pool = None if candidates is None else inst.vertex_set(candidates)
-    top = inst.n if pool is None else len(pool)
-    if budget is not None:
-        top = min(budget, top)
-    witnesses: list[frozenset[int]] = []
+    pool = inst.vertex_set(range(inst.n) if candidates is None else candidates)
+    top = len(pool) if budget is None else min(budget, len(pool))
+    scope = "" if candidates is None else " within the candidate set"
+    refusal = f"no deletion set of size <= {top}{scope}"
+    reports: dict[frozenset[int], OrderPreservationReport] = {}
 
-    def missed(dels: frozenset[int]) -> Optional[frozenset[int]]:
-        return next((w for w in witnesses if w.isdisjoint(dels)), None)
+    def report(dels: frozenset[int]) -> OrderPreservationReport:
+        rep = reports.get(dels)
+        if rep is None:
+            rep = recognize_order_preserving(inst, witness=False, deleted=dels)
+            reports[dels] = rep
+        return rep
 
-    def branching(dels: frozenset[int]) -> frozenset[int]:
-        if pool is not None:
-            return pool - dels
-        found = missed(dels)
-        if found is None:
-            found = frozenset(_hereditary_witness(cache, dels))
-            witnesses.append(found)
-        return found
-
-    level: list[frozenset[int]] = [frozenset()]
-    size = 0
+    witnesses: list[int] = []
+    size, hit = 0, None
     while True:
-        for dels in level:
-            if missed(dels) is None and cache.is_op(dels):
-                return cache.result_for(dels)
-        if size >= top:
-            scope = "" if pool is None else " within the candidate set"
-            raise BudgetExceeded(f"no deletion set of size <= {top}{scope}")
-        level = sorted(
-            {dels | {v} for dels in level for v in branching(dels)}, key=sorted
+        while (hit := _hitting_set(witnesses, size, hit)) is None:
+            size += 1
+            if size > top:
+                raise BudgetExceeded(refusal)
+        dels = frozenset(v for v in pool if hit >> v & 1)
+        if report(dels).is_order_preserving:
+            return _result(inst, dels, report(dels))
+        if not report(pool).is_order_preserving:
+            raise BudgetExceeded(refusal)
+        found = shrink_witness(
+            pool - dels, lambda kept: not report(pool - kept).is_order_preserving
         )
-        size += 1
+        witnesses.append(sum(1 << v for v in found))
 
 
 def opvd_exhaustive(

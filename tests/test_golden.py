@@ -13,6 +13,10 @@ with the objective unchanged. `gen_op_edges_n30.tis` is `tis gen op
 edge list of its graph. Its cases were recorded while the cliques of
 those graphs were enumerated by Bron-Kerbosch; they are unchanged now that
 recognition sweeps the unit models synthesized for the layers.
+`planted_n60_d9.tis` is `planted_deletion(60, 3, 1, 9, seed=1)` of
+`benchmark/workloads.py`: its `opvd` case, a minimum deletion set of 9
+vertices, was recorded while the deletion search still grew its candidate
+sets one vertex per level, and the hitting-set search reproduces it.
 """
 
 import json

@@ -2,6 +2,7 @@ import hashlib
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -40,8 +41,7 @@ def test_parse_rational_rejects_garbage(bad):
 
 def test_static_graph_basics():
     g = StaticGraph(4, [(0, 1), (2, 1)])
-    assert g.has_edge(1, 0) and g.has_edge(1, 2)
-    assert not g.has_edge(0, 2)
+    assert g.edges == {(0, 1), (1, 2)}
     assert g.neighbors(1) == {0, 2}
     assert g.closed_neighborhood(1) == {0, 1, 2}
     assert g.degree(3) == 0
@@ -126,6 +126,64 @@ def test_unit_flag_checks_model_lengths():
             layers=uneven,
             unit_flag=True,
         )
+
+
+def _two_vertices(lows=(0, 0), highs=(1, 1), weights=(1, 1)):
+    return TemporalIntervalInstance(
+        names=("a", "b"),
+        weights=weights,
+        tau=1,
+        delta=1,
+        k=0,
+        mode="model",
+        layers=(IntervalModel(zip(lows, highs)),),
+        unit_flag=False,
+    )
+
+
+# Each is refused rather than converted with its rounding error: a float
+# weight of 0.1 would become 3602879701896397/36028797018963968.
+INEXACT = [0.1, Decimal("0.5"), True, "1", None]
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_interval_model_refuses_inexact_endpoints(bad):
+    for interval in [(bad, 2), (0, bad)]:
+        with pytest.raises(TypeError):
+            IntervalModel([interval])
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_instance_refuses_inexact_weights(bad):
+    with pytest.raises(TypeError):
+        _two_vertices(weights=(1, bad))
+
+
+def test_int_and_fraction_numbers_round_trip():
+    inst = _two_vertices(lows=(0, F(1, 2)), highs=(1, F(7, 3)), weights=(3, F(1, 3)))
+    text = serialize_instance(inst)
+    back = parse_instance(text)
+    assert back.weights == (F(3), F(1, 3))
+    assert all(type(w) is F for w in back.weights)
+    assert back.layers[0].intervals == ((0, 1), (F(1, 2), F(7, 3)))
+    assert serialize_instance(back) == text
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter writes integers of any length",
+)
+@pytest.mark.parametrize("field", ["right", "weight"])
+def test_serialize_names_the_vertex_of_an_unwritable_number(field):
+    # Past the digits str() writes, serializing is an input error naming
+    # the vertex, as parsing such a numeral is one naming its line.
+    huge = 10 ** sys.get_int_max_str_digits()
+    if field == "right":
+        inst = _two_vertices(highs=(1, huge))
+    else:
+        inst = _two_vertices(weights=(1, huge))
+    with pytest.raises(InstanceError, match="^vertex b: "):
+        serialize_instance(inst)
 
 
 def test_parse_reports_line_numbers():
@@ -249,11 +307,11 @@ def test_serialization_is_canonical(windows_triangle):
 
 def test_layer_graph_modes(windows_triangle, pooled_trap):
     g1 = windows_triangle.layer_graph(1)
-    assert g1.has_edge(0, 1)
+    assert (0, 1) in g1.edges
     gm = pooled_trap.layer_graph(2)
     # layer 2 of the trap: a,b overlap; c meets b; s is far right
-    assert gm.has_edge(0, 1) and gm.has_edge(1, 2)
-    assert not gm.has_edge(2, 3)
+    assert (0, 1) in gm.edges and (1, 2) in gm.edges
+    assert (2, 3) not in gm.edges
     with pytest.raises(ValueError):
         windows_triangle.layer_graph(0)
     with pytest.raises(ValueError):
@@ -276,7 +334,7 @@ def test_remove_vertices_reindexes(two_layer_path):
     assert red.names == ("v1", "v2", "v3", "v5", "v6")
     assert red.n == 5
     # v5 (now index 3) kept its layer-1 edge to v6 (now 4)
-    assert red.layer_graph(1).has_edge(3, 4)
+    assert (3, 4) in red.layer_graph(1).edges
     assert red.tau == two_layer_path.tau
     assert red.k == two_layer_path.k
 
@@ -284,7 +342,7 @@ def test_remove_vertices_reindexes(two_layer_path):
 def test_remove_vertices_model_mode(pooled_trap):
     red = remove_vertices(pooled_trap, ["s"])
     assert red.names == ("a", "b", "c")
-    assert red.layer_model(1).intervals == pooled_trap.layer_model(1).intervals[:3]
+    assert red.layers[0].intervals == pooled_trap.layers[0].intervals[:3]
 
 
 def test_solution_cardinality():

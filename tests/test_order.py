@@ -53,7 +53,7 @@ class TestPooledMatrix:
             for deleted in (frozenset(), frozenset(range(0, inst.n, 3))):
                 cliques, sorted_cliques = [], []
                 for t in range(1, inst.tau + 1):
-                    m = inst.layer_model(t)
+                    m = inst.layers[t - 1]
                     cliques += maximal_cliques(m, skip=deleted)
                     ivs = [iv for v, iv in enumerate(m.intervals) if v not in deleted]
                     by_points = oracles.maximal_cliques_by_points(ivs)
@@ -100,7 +100,7 @@ class TestRecognition:
             # the ordering's normalized models re-induce every layer
             for t in range(1, inst.tau + 1):
                 norm = tis.normalized_model_for(
-                    inst.layer_model(t).induced_graph(), rep.ordering
+                    inst.layers[t - 1].induced_graph(), rep.ordering
                 )
                 assert norm.induced_graph() == inst.layer_graph(t)
 
