@@ -21,8 +21,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import NotUnitError, StaticGraph, TemporalIntervalInstance
-from .intervals import ensure_unit
+from .model import StaticGraph, TemporalIntervalInstance
 
 
 class WindowSemantics(enum.Enum):
@@ -117,27 +116,3 @@ def delta_independence_check(
         return IndependenceReport(True)
     return IndependenceReport(False, (S[first[0]], S[first[1]], first[2]))
 
-
-def neighborhood_is_bound_check(
-    inst: TemporalIntervalInstance,
-    v,
-    semantics: WindowSemantics = WindowSemantics.FIGURE,
-) -> bool:
-    """Does the largest independent set inside the closed conflict-graph
-    neighborhood of v respect the 2^delta * (tau - delta + 1) cap?
-
-    Only meaningful (and only allowed) for unit model-mode instances; the
-    bound is a structural fact about unit layers.
-    """
-    if inst.mode != "model":
-        raise NotUnitError("neighborhood bound check needs a unit model-mode instance")
-    ensure_unit(inst)
-    vi = inst.vertex_index(v)
-    g = conflict_graph(inst, semantics)
-    hood = sorted(g.closed_neighborhood(vi))
-    sub = g.induced(hood)
-    from .solvers import _max_independent_cardinality
-
-    mis = _max_independent_cardinality(sub)
-    bound = (2**inst.delta) * max(inst.tau - inst.delta + 1, 1)
-    return mis <= bound

@@ -23,7 +23,9 @@ synthesis and recognition's re-check of a layer's edge set all read it.
 The canonical optimum is the lexicographically smallest maximum-weight set.
 `canonical_optimum` gets it from one optimizer run on perturbed integer
 weights, w_int(v) * 2^n + 2^(n-1-v), which make that set the only maximum;
-`mwis_interval` is one interval-scheduling DP on those weights.
+`mwis_interval` is one interval-scheduling DP on those weights: a plan of
+the model (`_schedule_plan`) and a run on it (`_schedule`). The fpt solver
+runs one plan many times, with each blocked vertex at weight zero.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .model import (
+    _EXACT,
     InternalError,
     IntervalModel,
     NotUnitError,
@@ -172,40 +175,51 @@ def canonical_optimum(
 
 
 def mwis_interval(model: IntervalModel, weights: Sequence[Fraction]) -> Solution:
-    """Maximum-total-weight set of pairwise non-intersecting intervals.
+    """Maximum-total-weight set of pairwise non-intersecting intervals, for
+    nonnegative int or Fraction weights (TypeError for any other type).
 
     Among equal-weight optima, returns the lexicographically smallest index
     set (canonical_optimum on one interval-scheduling DP).
     """
     if len(weights) != model.n:
         raise ValueError("weight count does not match model size")
-    weights = [Fraction(w) for w in weights]
+    for w in weights:
+        if type(w) not in _EXACT:
+            raise TypeError(f"weight {w!r}: weights must be int or Fraction")
     if any(w < 0 for w in weights):
         raise ValueError("negative weight refused")
+    items, prev = _schedule_plan(model)
     selected, opt = canonical_optimum(
-        weights, lambda iw: _interval_schedule(model, iw)
+        weights, lambda iw: [items[i] for i in _schedule(prev, [iw[v] for v in items])]
     )
     return Solution(selected, opt, "mwis-interval")
 
 
-def _interval_schedule(model: IntervalModel, weights: Sequence[int]) -> list[int]:
-    """A maximum-weight set of pairwise disjoint closed intervals (touching
-    intervals conflict): the classic weighted interval-scheduling DP over
-    the intervals sorted by (right endpoint, vertex), then a walk back
-    through it. It runs on the endpoint ranks, which keep order and ties."""
+def _schedule_plan(model: IntervalModel) -> tuple[list[int], list[int]]:
+    """The plan of the weighted interval-scheduling DP: the intervals sorted
+    by (right endpoint, vertex), and prev[i], how many of them end before
+    the i-th starts (touching intervals conflict). It runs on the endpoint
+    ranks, which keep order and ties."""
     left, right, _, items = model.ranks()
     rights = [right[v] for v in items]
-    best, prev = [0], []  # prev[i]: how many items end before items[i] starts
-    for i, v in enumerate(items):
-        prev.append(bisect.bisect_left(rights, left[v], 0, i))
-        best.append(max(best[i], weights[v] + best[prev[i]]))
+    return items, [bisect.bisect_left(rights, left[v], 0, i) for i, v in enumerate(items)]
+
+
+def _schedule(prev: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """A maximum-weight set of pairwise disjoint items of a plan, weights[i]
+    the weight of item i: the classic DP, then a walk back through it. The
+    walk never takes a weight-0 item, since best[] never falls and
+    prev[i] <= i, so a zero weight blocks an item without a second plan."""
+    best = [0]
+    for i, p in enumerate(prev):
+        best.append(max(best[i], weights[i] + best[p]))
     chosen = []
-    i = len(items)
+    i = len(prev)
     while i:
         if best[i] == best[i - 1]:
             i -= 1
         else:
-            chosen.append(items[i - 1])
+            chosen.append(i - 1)
             i = prev[i - 1]
     return chosen
 

@@ -458,7 +458,7 @@ class TemporalIntervalInstance:
                 raise InstanceError(f"bad vertex name {name!r}")
         if len(weights) != n:
             raise InstanceError("weight count does not match vertex count")
-        if any(w < 0 for w in weights):
+        if any(w.numerator < 0 for w in weights):
             raise InstanceError("negative vertex weight")
         if tau < 1:
             raise InstanceError(f"tau must be positive, got {tau}")
@@ -676,11 +676,11 @@ def parse_instance(text: str) -> TemporalIntervalInstance:
         if name in seen:
             raise InstanceError(f"duplicate vertex {name!r}", lineno)
         seen.add(name)
-        w = parse_rational(toks[2], lineno) if len(toks) == 3 else Fraction(1)
-        if w < 0:
+        p, q = _parse_ratio(toks[2], lineno) if len(toks) == 3 else (1, 1)
+        if p < 0:
             raise InstanceError(f"negative weight for vertex {name!r}", lineno)
         names.append(name)
-        weights.append(w)
+        weights.append(Fraction(p, q))
         pos += 1
     if len(names) != n:
         raise InstanceError(f"declared n={n} but found {len(names)} vertex lines")

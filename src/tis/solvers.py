@@ -8,9 +8,10 @@ delta_independence_check on the input instance:
   solve_greedy            weight-greedy with closed-neighborhood removal
   solve_exact_op          interval sweep on the conflict graph normalized
                           to an ordering that agrees with it
-  solve_fpt               parameterized by a deletion set S: one conflict
-                          interval model of inst - S, swept once for each
-                          of the 2^|S| independent sub-selections of S
+  solve_fpt               parameterized by a deletion set S: one DP plan
+                          on the conflict interval model of inst - S, run
+                          once for each independent subset of S (only those
+                          are formed) with its neighbours at weight zero
 
 The conflict graph, its interval model and the certificate all come from
 the one window fold in `conflict`.
@@ -34,7 +35,8 @@ from .conflict import (
     conflict_graph,
     delta_independence_check,
 )
-from .intervals import REOrdering, _interval_schedule, canonical_optimum, mwis_interval
+from .intervals import REOrdering, canonical_optimum, mwis_interval
+from .intervals import _schedule, _schedule_plan
 from .model import (
     InternalError,
     LimitExceeded,
@@ -106,10 +108,6 @@ def _mwis_graph_kernel(
         kept = remaining & ~(adj[top] | low)
         stack.append((kept, current + w, rest - dropped, chosen | low))
     return best, [v for v in range(g.n) if best_set >> v & 1]
-
-
-def _max_independent_cardinality(g: StaticGraph) -> int:
-    return _mwis_graph_kernel(g, [1] * g.n)[0]
 
 
 def _certified(
@@ -186,37 +184,42 @@ def solve_fpt(
     """Exact solve parameterized by a deletion set S to order preservation.
 
     Recognizes inst - S in place, so an edges-mode unit declaration is
-    verified once, on inst, and builds the conflict interval model of
-    inst - S once; S's conflict neighbours come from the conflict graph of
-    inst. For each of the 2^|S| subsets X of S that are independent in the
-    conflict graph, the interval-scheduling DP runs on that model
-    restricted to the survivors not conflicting with X; the best X plus
-    remainder wins. This is the maximizer of one canonical_optimum call,
-    so the answer is the canonical optimum. Requires inst - S to be order
-    preserving. Runtime is exponential only in |S|.
+    verified once, on inst, and plans the interval-scheduling DP once, on
+    the conflict interval model of inst - S. The subsets X of S independent
+    in the conflict graph of inst are grown in ascending order, only by
+    vertices outside X's neighbourhood, so no dependent X is formed. Each X
+    runs the DP with its neighbours at weight 0, which the DP never takes;
+    the best X plus remainder is the maximizer of one canonical_optimum
+    call, so the answer is the canonical optimum. Requires inst - S to be
+    order preserving. Runtime is exponential only in |S|.
     """
     s_set = inst.vertex_set(deletion_set)
     rep = recognize_order_preserving(inst, witness=False, deleted=s_set)
     if rep.ordering is None:
         raise ValueError("deletion set does not leave an order-preserving instance")
-    reduced = remove_vertices(inst, s_set)
-    model = conflict_interval_model(reduced, rep.ordering, semantics)
+    model = conflict_interval_model(remove_vertices(inst, s_set), rep.ordering, semantics)
     g = conflict_graph(inst, semantics)
     keep = [v for v in range(inst.n) if v not in s_set]
+    items, prev = _schedule_plan(model)
+    items = [keep[j] for j in items]  # plan items as vertices of inst
+    at = {v: i for i, v in enumerate(items)}
     s_sorted = sorted(s_set)
+    bit = {v: 1 << i for i, v in enumerate(s_sorted)}
+    subsets = [((), 0)]  # (X, its conflict neighbours in S as a mask of bit[])
+    for v in s_sorted:
+        near = sum(bit.get(u, 0) for u in g.neighbors(v))
+        subsets += [(x + (v,), nx | near) for x, nx in subsets if not nx & bit[v]]
+    blocks = {v: [at[u] for u in g.neighbors(v) if u not in s_set] for v in s_sorted}
 
     def maximize(weights: list[int]) -> list[int]:
+        base = [weights[v] for v in items]
         best, best_set = -1, []
-        for mask in range(1 << len(s_sorted)):
-            x = [v for i, v in enumerate(s_sorted) if mask >> i & 1]
-            blocked = set().union(*(g.neighbors(v) for v in x))
-            if blocked.intersection(x):
-                continue
-            rest = [i for i, v in enumerate(keep) if v not in blocked]
-            picks = _interval_schedule(
-                model.restrict(rest), [weights[keep[i]] for i in rest]
-            )
-            chosen = x + [keep[rest[j]] for j in picks]
+        for x, _ in subsets:
+            w = base.copy()
+            for v in x:
+                for i in blocks[v]:
+                    w[i] = 0
+            chosen = [*x, *(items[i] for i in _schedule(prev, w))]
             total = sum(weights[v] for v in chosen)
             if total > best:
                 best, best_set = total, chosen

@@ -1,7 +1,5 @@
 import random
-from fractions import Fraction as F
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +9,8 @@ from tis.conflict import (
     WindowSemantics,
     conflict_graph,
     delta_independence_check,
-    neighborhood_is_bound_check,
     window_plan,
 )
-from tis.model import NotUnitError
 
 
 class TestWindowPlan:
@@ -141,29 +137,3 @@ class TestIndependenceCheck:
         rep = delta_independence_check(inst, sel, semantics)
         want = oracles.independence_report(inst, sel, semantics.value)
         assert (rep.independent, rep.violation) == want
-
-
-class TestNeighborhoodBound:
-    def test_holds_on_unit_corpus_sample(self, weighted_corpus):
-        for inst in weighted_corpus[:40]:
-            for v in range(inst.n):
-                assert neighborhood_is_bound_check(inst, v)
-
-    def test_refuses_edges_mode(self, two_layer_path):
-        with pytest.raises(NotUnitError):
-            neighborhood_is_bound_check(two_layer_path, 0)
-
-    def test_refuses_non_unit_model(self):
-        m = tis.IntervalModel(((F(0), F(1)), (F(0), F(3))))
-        inst = tis.TemporalIntervalInstance(
-            names=("a", "b"),
-            weights=(F(1), F(1)),
-            tau=1,
-            delta=1,
-            k=0,
-            mode="model",
-            layers=(m,),
-            unit_flag=False,
-        )
-        with pytest.raises(NotUnitError):
-            neighborhood_is_bound_check(inst, 0)

@@ -1,5 +1,6 @@
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -59,6 +60,16 @@ class TestMwis:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             mwis_interval(model((0, 1)), [F(-1)])
+
+    @pytest.mark.parametrize("bad", [0.1, Decimal("0.5"), True, "1", None], ids=repr)
+    def test_refuses_inexact_weights(self, bad):
+        # converted, 0.1 would give an objective of 3602879701896397/2^55
+        with pytest.raises(TypeError):
+            mwis_interval(model((0, 1), (2, 3)), [1, bad])
+
+    def test_int_weights_give_exact_objective(self):
+        sol = mwis_interval(model((0, 1), (2, 3)), [1, F(1, 10)])
+        assert sol.objective == F(11, 10) and sol.selected == frozenset({0, 1})
 
     def test_lexicographically_smallest_optimum(self):
         rng = random.Random(777)

@@ -1,3 +1,5 @@
+import itertools
+import random
 import sys
 import time
 from fractions import Fraction
@@ -16,7 +18,7 @@ from tis.model import (
     TemporalIntervalInstance,
 )
 from tis.solvers import (
-    _max_independent_cardinality,
+    _mwis_graph_kernel,
     solve,
     solve_exact_bruteforce,
     solve_exact_op,
@@ -87,7 +89,7 @@ class TestBruteforce:
         optima = oracles.all_optimal_independent_sets(n, edges, weights)
         assert frozenset(sol.selected) == optima[0]
         g = conflict_graph(inst)
-        assert _max_independent_cardinality(g) == oracles.mis_cardinality(n, edges)
+        assert _mwis_graph_kernel(g, [1] * g.n)[0] == oracles.mis_cardinality(n, edges)
 
     def test_cut_drops_only_trailing_zero_weights(self):
         # three vertices that never conflict: every subset is independent
@@ -283,6 +285,53 @@ class TestFpt:
         assert calls == {"model": 1, "check": 1}
 
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_wide_deletion_set_matches_op(self, seed):
+        # an order-preserving instance with 10 random vertices as S: any S
+        # leaves it order preserving, so fpt must return op's canonical set
+        rng = random.Random(seed)
+        base = tis.gen_order_preserving(200, 5, 2, 0, seed=seed)
+        weights = [Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(200)]
+        inst = TemporalIntervalInstance(
+            base.names, weights, base.tau, base.delta, 0, base.mode,
+            base.layers, base.unit_flag,
+        )
+        s = rng.sample(range(200), 10)
+        for semantics in WindowSemantics:
+            sol = solve_fpt(inst, s, semantics)
+            ref = solve(inst, "op", semantics)
+            assert (sol.selected, sol.objective) == (ref.selected, ref.objective)
+
+    @pytest.mark.parametrize("semantics", list(WindowSemantics))
+    def test_one_plan_and_one_dp_per_independent_subset(self, semantics, monkeypatch):
+        calls = {"plan": 0, "dp": 0, "restrict": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name, key in (
+            (tis.solvers, "_schedule_plan", "plan"),
+            (tis.solvers, "_schedule", "dp"),
+            (IntervalModel, "restrict", "restrict"),
+        ):
+            monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
+        inst = tis.gen_order_preserving(60, 4, 2, 0, seed=3)
+        edges = oracles.conflict_edge_set(inst, semantics.value)
+        s = [0, 2, 3, 4, 7, 10, 46, 53, 54]
+        independent = sum(
+            all((u, v) not in edges for u, v in itertools.combinations(x, 2))
+            for size in range(len(s) + 1)
+            for x in itertools.combinations(s, size)
+        )
+        assert 1 < independent < 2 ** len(s)
+        solve_fpt(inst, s, semantics)
+        # restrict: one per layer, from building inst - S once
+        assert calls == {"plan": 1, "dp": independent, "restrict": inst.tau}
+
 def test_pipeline_at_2000_vertices_in_both_modes():
     # the whole op / fpt / greedy pipeline on a large order-preserving
     # instance and its edge-list copy, with the recursion limit a little
@@ -348,6 +397,6 @@ class TestCardinalityHelper:
     def test_matches_oracle(self, weighted_corpus):
         for inst in weighted_corpus[:40]:
             g = conflict_graph(inst)
-            assert _max_independent_cardinality(g) == oracles.mis_cardinality(
+            assert _mwis_graph_kernel(g, [1] * g.n)[0] == oracles.mis_cardinality(
                 inst.n, oracles.graph_edges(g)
             )
