@@ -313,13 +313,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    except (
-        InstanceError,
-        NotUnitError,
-        FileNotFoundError,
-        IsADirectoryError,
-        ValueError,
-    ) as exc:
+    except (InstanceError, NotUnitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

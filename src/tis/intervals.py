@@ -316,27 +316,17 @@ def _leftmost_earlier(
     return lows
 
 
-def disagreeing_pair(
-    edges: Iterable[tuple[int, int]], ordering: REOrdering
-) -> Optional[tuple[int, int]]:
-    """ordering_agrees for the graph on the ordering's vertices with these
-    edges: how recognition re-checks a layer, given as its edge set."""
-    try:
-        _leftmost_earlier(ordering.n, edges, ordering)
-    except OrderingIncompatible as exc:
-        return exc.pair
-    return None
-
-
 def ordering_agrees(
     g: StaticGraph, ordering: REOrdering
 ) -> Optional[tuple[int, int]]:
     """None when some interval model of g has its right endpoints in this
     order; otherwise a violating pair (u, w): the edge {u, w} spans a
     position whose vertex is not adjacent to w."""
-    if ordering.n != g.n:
-        raise ValueError("ordering size does not match graph")
-    return disagreeing_pair(g.edges, ordering)
+    try:
+        _leftmost_earlier(g.n, g.edges, ordering)
+    except OrderingIncompatible as exc:
+        return exc.pair
+    return None
 
 
 def normalized_model_for(g: StaticGraph, ordering: REOrdering) -> IntervalModel:

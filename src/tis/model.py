@@ -105,11 +105,6 @@ def _parse_ratio(token: str, line: int | None) -> tuple[int, int]:
     return (p // g, q // g) if g != 1 else (p, q)
 
 
-def parse_rational(token: str, line: int | None = None) -> Fraction:
-    """Parse 'p' or 'p/q' into an exact rational; anything else is an error."""
-    return Fraction(*_parse_ratio(token, line))
-
-
 def _format_ratio(p: int, q: int) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 

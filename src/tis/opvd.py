@@ -36,6 +36,7 @@ w-vertex witness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -142,14 +143,10 @@ def min_opvd(
     top = len(pool) if budget is None else min(budget, len(pool))
     scope = "" if candidates is None else " within the candidate set"
     refusal = f"no deletion set of size <= {top}{scope}"
-    reports: dict[frozenset[int], OrderPreservationReport] = {}
 
+    @functools.cache
     def report(dels: frozenset[int]) -> OrderPreservationReport:
-        rep = reports.get(dels)
-        if rep is None:
-            rep = recognize_order_preserving(inst, witness=False, deleted=dels)
-            reports[dels] = rep
-        return rep
+        return recognize_order_preserving(inst, witness=False, deleted=dels)
 
     witnesses: list[int] = []
     size, hit = 0, None

@@ -26,9 +26,10 @@ from typing import Iterable, Optional
 
 from .conflict import WindowSemantics, conflict_graph
 from .intervals import (
+    OrderingIncompatible,
     REOrdering,
+    _leftmost_earlier,
     c1p_test,
-    disagreeing_pair,
     ensure_unit,
     maximal_cliques,
     normalized_model_for,
@@ -103,13 +104,13 @@ def recognize_order_preserving(
     because unit interval graphs are hereditary.
 
     On success the returned ordering is re-verified against the edge set
-    of every layer of inst - deleted by disagreeing_pair, ordering_agrees
-    on edges (an internal error otherwise, since a contiguous clique
-    arrangement always agrees). A negative answer carries the minimal
-    column witness, or None with `witness=False`, which skips the shrink:
-    callers that only need the decision pass it. Non-unit instances are
-    refused; recognition of non-unit temporal interval graphs is not
-    offered.
+    of every layer of inst - deleted by `_leftmost_earlier`, the pass
+    behind ordering_agrees (an internal error otherwise, since a contiguous
+    clique arrangement always agrees). A negative answer carries the
+    minimal column witness, or None with `witness=False`, which skips the
+    shrink: callers that only need the decision pass it. Non-unit
+    instances are refused; recognition of non-unit temporal interval
+    graphs is not offered.
     """
     deleted = inst.vertex_set(deleted)
     rows = pooled_clique_matrix(inst, deleted=deleted)
@@ -118,11 +119,12 @@ def recognize_order_preserving(
         return OrderPreservationReport(None, res.witness)
     ordering = REOrdering(res.ordering)
     for t in range(1, inst.tau + 1):
-        pair = disagreeing_pair(inst.layer_edges(t, skip=deleted), ordering)
-        if pair is not None:
+        try:
+            _leftmost_earlier(ordering.n, inst.layer_edges(t, skip=deleted), ordering)
+        except OrderingIncompatible as exc:
             raise InternalError(
-                f"C1P ordering disagrees with layer {t}: violating pair {pair}"
-            )
+                f"C1P ordering disagrees with layer {t}: violating pair {exc.pair}"
+            ) from None
     return OrderPreservationReport(ordering, None)
 
 

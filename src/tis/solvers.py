@@ -9,9 +9,11 @@ delta_independence_check on the input instance:
   solve_exact_op          interval sweep on the conflict graph normalized
                           to an ordering that agrees with it
   solve_fpt               parameterized by a deletion set S: one DP plan
-                          on the conflict interval model of inst - S, run
-                          once for each independent subset of S (only those
-                          are formed) with its neighbours at weight zero
+                          on the survivors' model, the conflict graph of
+                          inst induced on inst - S and normalized (no
+                          reduced instance is built), run once for each
+                          independent subset of S (only those are formed)
+                          with its neighbours at weight zero
 
 The conflict graph, its interval model and the certificate all come from
 the one window fold in `conflict`.
@@ -35,16 +37,24 @@ from .conflict import (
     conflict_graph,
     delta_independence_check,
 )
-from .intervals import REOrdering, canonical_optimum, mwis_interval
-from .intervals import _schedule, _schedule_plan
+from .intervals import (
+    REOrdering,
+    _schedule,
+    _schedule_plan,
+    canonical_optimum,
+    mwis_interval,
+    normalized_model_for,
+)
 from .model import (
     InternalError,
     LimitExceeded,
     Solution,
     StaticGraph,
     TemporalIntervalInstance,
-    remove_vertices,
 )
+
+# Unused here; benchmark/tracing.py wraps the tis.solvers binding.
+from .model import remove_vertices  # noqa: F401
 from .order import conflict_interval_model, recognize_order_preserving
 
 BRUTEFORCE_DEFAULT_LIMIT = 30
@@ -184,23 +194,25 @@ def solve_fpt(
     """Exact solve parameterized by a deletion set S to order preservation.
 
     Recognizes inst - S in place, so an edges-mode unit declaration is
-    verified once, on inst, and plans the interval-scheduling DP once, on
-    the conflict interval model of inst - S. The subsets X of S independent
-    in the conflict graph of inst are grown in ascending order, only by
-    vertices outside X's neighbourhood, so no dependent X is formed. Each X
-    runs the DP with its neighbours at weight 0, which the DP never takes;
-    the best X plus remainder is the maximizer of one canonical_optimum
-    call, so the answer is the canonical optimum. Requires inst - S to be
-    order preserving. Runtime is exponential only in |S|.
+    verified once, on inst, and builds no reduced instance. The conflict
+    graph of inst - S is the conflict graph of inst induced on the
+    survivors, since the window fold commutes with that restriction; the
+    interval-scheduling DP is planned once, on that induced graph
+    normalized along the survivors' common ordering. The subsets X of S
+    independent in the conflict graph of inst are grown in ascending order,
+    only by vertices outside X's neighbourhood, so no dependent X is
+    formed. Each X runs the DP with its neighbours at weight 0, which the
+    DP never takes; the best X plus remainder is the maximizer of one
+    canonical_optimum call, so the answer is the canonical optimum. Requires
+    inst - S to be order preserving. Runtime is exponential only in |S|.
     """
     s_set = inst.vertex_set(deletion_set)
     rep = recognize_order_preserving(inst, witness=False, deleted=s_set)
     if rep.ordering is None:
         raise ValueError("deletion set does not leave an order-preserving instance")
-    model = conflict_interval_model(remove_vertices(inst, s_set), rep.ordering, semantics)
     g = conflict_graph(inst, semantics)
     keep = [v for v in range(inst.n) if v not in s_set]
-    items, prev = _schedule_plan(model)
+    items, prev = _schedule_plan(normalized_model_for(g.induced(keep), rep.ordering))
     items = [keep[j] for j in items]  # plan items as vertices of inst
     at = {v: i for i, v in enumerate(items)}
     s_sorted = sorted(s_set)

@@ -24,6 +24,14 @@ class TestValidate:
         assert r.stdout == ""
         assert r.stderr != ""
 
+    def test_overlong_file_name(self, run_cli):
+        # ENAMETOOLONG is an OSError that is neither FileNotFoundError nor
+        # IsADirectoryError: still an input error, not a traceback
+        r = run_cli("validate", "x" * 5000)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ")
+
     def test_malformed_input(self, run_cli, tmp_path):
         bad = tmp_path / "bad.tis"
         bad.write_text("n 3\ntau zero\n")
@@ -213,6 +221,13 @@ class TestGen:
         v = run_cli("validate", str(out))
         # 3 characters plus 2*3*3 frame columns
         assert "n=21 tau=2 delta=1 k=0" in v.stdout
+
+    def test_unwritable_out_path(self, run_cli, tmp_path):
+        out = tmp_path / ("x" * 300 + ".tis")
+        r = run_cli("gen", "op", "--n", "4", "--out", str(out))
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ")
 
     def test_lcsp_bad_perms(self, run_cli):
         r = run_cli("gen", "lcsp", "--perms", "abc,ab")

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import tis
@@ -121,6 +123,25 @@ class TestGadget:
             res = tis.min_opvd(inst, candidates=sorted(chars))
             n = len(strings[0])
             assert res.size == n - lcs_permutations(strings)
+
+    # no shrink phase: at 0.3-0.8 s an example, shrinking a failure took
+    # minutes, and the drawn triple is small enough to read as it is
+    @settings(
+        max_examples=10,
+        deadline=None,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate],
+    )
+    @given(data=st.data(), a=st.integers(8, 9))
+    def test_law_and_fpt_on_random_triples(self, data, a):
+        # the whole deletion path at an alphabet no subset oracle reaches:
+        # minimum deletions = alphabet - LCS, and fpt on that set solves
+        perms = [data.draw(st.permutations(range(1, a + 1))) for _ in range(3)]
+        inst = gen_lcsp_gadget(perms)
+        res = tis.min_opvd(inst)
+        assert res.size == a - lcs_permutations(perms)
+        sol = tis.solve(inst, "fpt", deletion_set=res.deletion_set)
+        assert tis.verify_solution(inst, sol.selected).independent
+        assert sol.objective >= tis.solve(inst, "greedy").objective
 
     def test_rejects_non_permutations(self):
         with pytest.raises(ValueError):

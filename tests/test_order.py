@@ -83,9 +83,12 @@ class TestRecognition:
 
     def test_failed_reverification_is_internal_error(self, op_corpus, monkeypatch):
         # a C1P ordering that some layer rejects is a library bug, not bad input
-        monkeypatch.setattr(tis.order, "disagreeing_pair", lambda g, ordering: (0, 1))
+        def disagree(n, edges, ordering):
+            raise tis.OrderingIncompatible("stub", pair=(0, 1))
+
+        monkeypatch.setattr(tis.order, "_leftmost_earlier", disagree)
         for deleted in ((), (0, 2)):
-            with pytest.raises(tis.InternalError):
+            with pytest.raises(tis.InternalError, match=r"violating pair \(0, 1\)"):
                 recognize_order_preserving(op_corpus[0], deleted=deleted)
 
     def test_deleting_v4_makes_it_order_preserving(self, two_layer_path):

@@ -38,6 +38,63 @@ def test_no_assert_statements():
     assert found == []
 
 
+def _trees():
+    return {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+
+
+def test_no_unused_imports():
+    # A name counts as used when the module reads it or lists it in
+    # __all__; "# noqa: F401" on an import's first line exempts it.
+    found = []
+    for path, tree in _trees().items():
+        lines = path.read_text().splitlines()
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {
+            elt.value
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets)
+            for elt in n.value.elts
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
+
+
+def test_no_unreferenced_private_definitions():
+    # A module-level `_name` counts as referenced when some module of the
+    # package reads it: as a name, an attribute or an imported name. A
+    # definition nothing reads is dead code.
+    trees = _trees()
+    used = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                used |= {alias.name for alias in n.names}
+    found = [
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in used
+    ]
+    assert found == []
+
+
 def test_benchmark_bindings_resolve():
     # benchmark/tracing.py rebinds these module attributes in traced runs
     # and looks each one up with vars(owner)[attr]; one that a refactor

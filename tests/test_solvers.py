@@ -262,7 +262,9 @@ class TestFpt:
         assert sol.objective == oracles.max_weight_independent(n, edges, weights)
 
     def test_one_model_and_one_certification(self, two_layer_path, monkeypatch):
-        calls = {"model": 0, "check": 0}
+        # one conflict graph, of inst; the survivors' model is it induced
+        # and normalized, with no reduced instance built
+        calls = {"graph": 0, "model": 0, "reduce": 0, "check": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -271,19 +273,20 @@ class TestFpt:
 
             return wrapper
 
+        for name, key in (
+            ("conflict_graph", "graph"),
+            ("normalized_model_for", "model"),
+            ("remove_vertices", "reduce"),
+            ("delta_independence_check", "check"),
+        ):
+            monkeypatch.setattr(
+                tis.solvers, name, counted(key, getattr(tis.solvers, name))
+            )
         monkeypatch.setattr(
-            tis.solvers,
-            "conflict_interval_model",
-            counted("model", tis.solvers.conflict_interval_model),
-        )
-        monkeypatch.setattr(
-            tis.solvers,
-            "delta_independence_check",
-            counted("check", tis.solvers.delta_independence_check),
+            tis.model, "remove_vertices", counted("reduce", tis.model.remove_vertices)
         )
         solve_fpt(two_layer_path, frozenset({0, 1, 5}))
-        assert calls == {"model": 1, "check": 1}
-
+        assert calls == {"graph": 1, "model": 1, "reduce": 0, "check": 1}
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_wide_deletion_set_matches_op(self, seed):
@@ -329,8 +332,8 @@ class TestFpt:
         )
         assert 1 < independent < 2 ** len(s)
         solve_fpt(inst, s, semantics)
-        # restrict: one per layer, from building inst - S once
-        assert calls == {"plan": 1, "dp": independent, "restrict": inst.tau}
+        # no reduced instance, so no layer is restricted
+        assert calls == {"plan": 1, "dp": independent, "restrict": 0}
 
 def test_pipeline_at_2000_vertices_in_both_modes():
     # the whole op / fpt / greedy pipeline on a large order-preserving
