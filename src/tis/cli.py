@@ -66,6 +66,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -122,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, default=2)
     p.add_argument("--delta", type=int, default=1)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--spread", default="2", metavar="Q")
+    p.add_argument("--spread", type=_rational, default=Fraction(2), metavar="Q")
     p.add_argument("--max-weight", type=int, default=None, metavar="W")
     p.add_argument("--perms", default=None, metavar="ABC,ACB")
     p.add_argument("--out", default=None, metavar="FILE")
@@ -169,11 +176,12 @@ def _cmd_conflict(args: argparse.Namespace) -> int:
         for a, b in pairs:
             print(f"{a} {b}")
     else:
+        quoted = {name: '"' + name.replace('"', '\\"') + '"' for name in inst.names}
         print("graph conflict {")
         for name in inst.names:
-            print(f'  "{name}";')
+            print(f"  {quoted[name]};")
         for a, b in pairs:
-            print(f'  "{a}" -- "{b}";')
+            print(f"  {quoted[a]} -- {quoted[b]};")
         print("}")
     return 0
 
@@ -265,7 +273,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             args.delta,
             args.k,
             seed=args.seed,
-            spread=Fraction(args.spread),
+            spread=args.spread,
             max_weight=args.max_weight,
         )
     elif args.kind == "op":

@@ -35,7 +35,6 @@ class WindowPlan:
     [start, start + window_length - 1], 1-based inclusive."""
 
     window_length: int
-    window_count: int
     starts: tuple[int, ...]
 
     def layers(self, start: int) -> range:
@@ -47,12 +46,12 @@ def window_plan(
 ) -> WindowPlan:
     if semantics is WindowSemantics.FIGURE:
         if delta >= tau:
-            return WindowPlan(tau, 1, (1,))
+            return WindowPlan(tau, (1,))
         starts = tuple(range(1, tau - delta + 2))
-        return WindowPlan(delta, len(starts), starts)
+        return WindowPlan(delta, starts)
     # formula semantics: delta+1 layers per window, tau-delta windows
     starts = tuple(range(1, tau - delta + 1))
-    return WindowPlan(delta + 1, len(starts), starts)
+    return WindowPlan(delta + 1, starts)
 
 
 def _window_edges(

@@ -2,23 +2,23 @@
 
 Maximum-weight independent set on interval models, the canonical tie break
 shared with the exact solver, maximal clique enumeration by a sweep of an
-interval model, consecutive-ones testing with minimal witnesses,
-unit-interval recognition with model synthesis, and normalization of a graph
-to an agreeing right-endpoint ordering. An edge-list layer declared unit
-gets its cliques from the unit model its recognition synthesizes
-(`ensure_unit`), so both instance modes share the one sweep. That model has
-integer endpoints, placed in one pass along the umbrella ordering of the
-layer's closed-neighbourhood matrix (`_unit_lefts`).
+interval model, consecutive-ones testing with minimal witnesses, and
+normalization of a graph to an agreeing right-endpoint ordering. An
+edge-list layer declared unit is verified by the C1P test of its
+closed-neighbourhood matrix (a graph is unit interval iff that matrix has
+the consecutive ones property, Roberts 1969) and gets its cliques from its
+normalized model along the resulting umbrella ordering (`ensure_unit`), so
+both instance modes share the one sweep.
 
 A vertex ordering `agrees` with a graph when the graph has an interval model
 whose right endpoints appear in exactly that order. That holds iff, for every
 vertex, its neighbors at earlier positions occupy a contiguous block of
-positions ending immediately before it (checked by `ordering_agrees`).
-Normalizing to an agreeing ordering puts right(v) at v's 1-based position and
-left(v) at the smallest position among the vertices sharing a clique with v.
-One pass over the edge pairs counts each vertex's earlier neighbours and
-finds the leftmost (`_leftmost_earlier`); agreement, normalization, unit
-synthesis and recognition's re-check of a layer's edge set all read it.
+positions ending immediately before it. Normalizing to an agreeing ordering
+puts right(v) at v's 1-based position and left(v) at the smallest position
+among the vertices sharing a clique with v. One pass over the edge pairs
+counts each vertex's earlier neighbours and finds the leftmost
+(`_leftmost_earlier`); normalization and recognition's re-check of a
+layer's edge set both read it.
 
 The canonical optimum is the lexicographically smallest maximum-weight set.
 `canonical_optimum` gets it from one optimizer run on perturbed integer
@@ -316,19 +316,6 @@ def _leftmost_earlier(
     return lows
 
 
-def ordering_agrees(
-    g: StaticGraph, ordering: REOrdering
-) -> Optional[tuple[int, int]]:
-    """None when some interval model of g has its right endpoints in this
-    order; otherwise a violating pair (u, w): the edge {u, w} spans a
-    position whose vertex is not adjacent to w."""
-    try:
-        _leftmost_earlier(g.n, g.edges, ordering)
-    except OrderingIncompatible as exc:
-        return exc.pair
-    return None
-
-
 def normalized_model_for(g: StaticGraph, ordering: REOrdering) -> IntervalModel:
     """The normalized model of g along an agreeing ordering: right(v) = v's
     1-based position, left(v) = smallest position among vertices sharing a
@@ -341,120 +328,40 @@ def normalized_model_for(g: StaticGraph, ordering: REOrdering) -> IntervalModel:
     return IntervalModel(intervals)
 
 
-# -- unit-interval recognition -----------------------------------------------
+# -- edge-list layers declared unit ------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitIntervalResult:
-    """Outcome of unit-interval recognition: a unit-length model on success,
-    or a minimal vertex set whose closed-neighborhood submatrix is non-C1P."""
-
-    model: IntervalModel | None
-    ordering: REOrdering | None
-    witness: tuple[int, ...] | None
-
-    @property
-    def ok(self) -> bool:
-        return self.model is not None
-
-
-def recognize_unit_interval(g: StaticGraph) -> UnitIntervalResult:
-    """Recognize unit (= proper) interval graphs and synthesize a unit model.
-
-    A graph is a proper interval graph iff its closed-neighborhood matrix has
-    the consecutive ones property; the C1P column order is then an umbrella
-    ordering, along which `_unit_lefts` places intervals of length n at
-    integer left endpoints in one pass. The model is compared with g by the
-    rank sweep, an internal error should they differ. Failure is a value
-    carrying a minimal witness, shrunk only on a negative answer, not an
-    exception.
-    """
-    found = _unit_model(g)
-    if found is not None:
-        return UnitIntervalResult(*found, None)
+def _unit_model(g: StaticGraph) -> Optional[IntervalModel]:
+    """The normalized model of g along the umbrella ordering of its
+    closed-neighbourhood matrix, or None when g is not a unit interval
+    graph (the C1P decision alone: no witness is shrunk)."""
     rows = [g.closed_neighborhood(v) for v in range(g.n)]
-    return UnitIntervalResult(None, None, c1p_test(rows, ncols=g.n).witness)
-
-
-def _unit_model(g: StaticGraph) -> Optional[tuple[IntervalModel, REOrdering]]:
-    """A unit model of g and the umbrella ordering it is built along, or
-    None when g is not a unit interval graph (the decision alone: no
-    witness is shrunk)."""
-    n = g.n
-    rows = [g.closed_neighborhood(v) for v in range(n)]
-    res = c1p_test(rows, ncols=n, witness=False)
+    res = c1p_test(rows, ncols=g.n, witness=False)
     if not res.is_c1p:
         return None
-    sigma = REOrdering(res.ordering)
     try:
-        lows = _leftmost_earlier(n, g.edges, sigma)
+        model = normalized_model_for(g, REOrdering(res.ordering))
     except OrderingIncompatible:
         raise InternalError("umbrella ordering does not agree with the graph") from None
-    intervals: list[tuple[int, int]] = [None] * n  # type: ignore
-    for v, x in zip(sigma.order, _unit_lefts(lows)):
-        intervals[v] = (x, x + n)
-    model = IntervalModel(intervals)
     if model.induced_graph() != g:
-        raise InternalError("synthesized unit model mismatch")
-    return model, sigma
-
-
-def _unit_lefts(f: Sequence[int]) -> list[int]:
-    """Integer left endpoints x_0..x_{n-1} for intervals of length n along
-    an umbrella ordering, given its leftmost earlier neighbours f (f(j) = j
-    when position j has none).
-
-    The earlier neighbours of position j are f(j)..j-1, so with
-    p = f(j) - 1 the intervals realize the graph when
-      x is nondecreasing,
-      x_j <= x_{f(j)} + n          (j meets f(j), hence f(j)..j-1),
-      x_j > x_p + n  if p >= 0     (j misses p, hence 0..p).
-
-    Here x_j = level(j) * n + rank(j), with level(j) = level(p) + 1 (0 when
-    p < 0) and rank(j) in [0, n) the place of j in a list built in one
-    pass: j goes immediately before f(j) when level(f(j)) = level(j) - 1,
-    at the end otherwise. Along an umbrella ordering f is nondecreasing, so
-    level is nondecreasing and grows by at most 1 per position (p <= j - 1
-    and f(j-1) <= f(j)). Of one level's positions, those placed before a
-    lower-level f(j) come first in the ordering, each placed before an
-    f(j) no earlier than the previous one's, and the rest are appended
-    after them; so by induction on the level, each level's positions lie
-    in the list in ascending order. Then x is nondecreasing: within a
-    level the rank grows, and a level step adds n to a rank change of less
-    than n. j meets f(j): on the same level their ranks differ by less than
-    n, and one level lower j lies before f(j). j misses p, one level below
-    it: j was appended after p, or placed right before p + 1 = f(j), which
-    follows p on their level.
-    """
-    n = len(f)
-    level = [0] * n
-    nxt, prv = [n] * (n + 1), [n] * (n + 1)  # a circular list through n
-    for j, lo in enumerate(f):
-        if lo:
-            level[j] = level[lo - 1] + 1
-        q = lo if level[lo] < level[j] else n
-        a = prv[q]
-        nxt[a], prv[j], nxt[j], prv[q] = j, a, q, j
-    rank = [0] * n
-    v = nxt[n]
-    for r in range(n):
-        rank[v] = r
-        v = nxt[v]
-    return [level[j] * n + rank[j] for j in range(n)]
+        raise InternalError("normalized layer model mismatch")
+    return model
 
 
 def ensure_unit(inst: TemporalIntervalInstance) -> tuple[IntervalModel, ...]:
-    """A unit interval model of every layer of inst, in layer order; refuses
+    """An interval model of every layer of inst, in layer order; refuses
     instances that do not carry (and, in edges mode, survive) the unit
     declaration.
 
-    Model-mode layers are their own models, their lengths verified at
+    Model-mode layers are their own unit models, their lengths verified at
     construction. An edges-mode declaration is verified here layer by
     layer, on the first call only, by the C1P decision alone (a refusal
-    shrinks no witness), and the synthesized models are kept: each induces
-    exactly its layer, and the instance is immutable. Unit interval graphs
-    are hereditary, so the verdict also holds for every induced
-    sub-instance."""
+    shrinks no witness). Each layer then gets its normalized model along
+    the umbrella ordering: integer endpoints in 1..n, right(v) the
+    position of v, not unit length. Every clique sweep needs only some
+    model of the layer, and each kept model induces exactly its layer (the
+    instance is immutable). Unit interval graphs are hereditary, so the
+    verdict also holds for every induced sub-instance."""
     if not inst.unit_flag:
         raise NotUnitError("operation requires a unit instance (unit flag false)")
     if inst.mode == "model":
@@ -462,11 +369,11 @@ def ensure_unit(inst: TemporalIntervalInstance) -> tuple[IntervalModel, ...]:
     if inst._unit_models is None:
         models = []
         for t in range(1, inst.tau + 1):
-            found = _unit_model(inst.layer_graph(t))
-            if found is None:
+            model = _unit_model(inst.layer_graph(t))
+            if model is None:
                 raise NotUnitError(
                     f"unit declared but layer {t} is not a unit interval graph"
                 )
-            models.append(found[0])
+            models.append(model)
         object.__setattr__(inst, "_unit_models", tuple(models))
     return inst._unit_models

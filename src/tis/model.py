@@ -352,10 +352,9 @@ class IntervalModel:
                     edges.append((a, b) if a < b else (b, a))
         return edges
 
-    def induced_graph(self, *, skip: frozenset[int] = frozenset()) -> StaticGraph:
-        """The model's graph; with `skip`, the graph of the model without
-        those vertices (see edge_pairs)."""
-        return StaticGraph(self.n - len(skip), self.edge_pairs(skip=skip))
+    def induced_graph(self) -> StaticGraph:
+        """The model's graph (see edge_pairs)."""
+        return StaticGraph(self.n, self.edge_pairs())
 
     def restrict(self, keep: Sequence[int]) -> "IntervalModel":
         """The model of the vertices in `keep`, in that order: the kept keys
@@ -498,7 +497,8 @@ class TemporalIntervalInstance:
         )
         object.__setattr__(self, "_layer_cache", [None] * tau)
         # Set by intervals.ensure_unit once an edges-mode unit declaration
-        # has been verified: the unit model it synthesized for each layer.
+        # has been verified: each layer's normalized model along its
+        # umbrella ordering.
         object.__setattr__(self, "_unit_models", None)
 
     def __setattr__(self, name, value):

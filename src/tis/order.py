@@ -62,7 +62,7 @@ def pooled_clique_matrix(
     ascending order: the rows of the matrix whose columns are the
     inst.n - len(deleted) survivors.
 
-    Every layer's cliques come from a sweep of its unit model
+    Every layer's cliques come from a sweep of its interval model
     (`ensure_unit`, so a non-unit instance is refused). Rows are kept in
     (layer, position) order of first appearance; the PQ-tree reads them in
     that order. A model-mode layer's cliques keep their sweep order. An
@@ -105,7 +105,7 @@ def recognize_order_preserving(
 
     On success the returned ordering is re-verified against the edge set
     of every layer of inst - deleted by `_leftmost_earlier`, the pass
-    behind ordering_agrees (an internal error otherwise, since a contiguous
+    behind normalized_model_for (an internal error otherwise, since a contiguous
     clique arrangement always agrees). A negative answer carries the
     minimal column witness, or None with `witness=False`, which skips the
     shrink: callers that only need the decision pass it. Non-unit

@@ -56,6 +56,18 @@ class TestConflict:
         assert '"v2" -- "v4";' in r.stdout
         assert r.stdout.rstrip().endswith("}")
 
+    def test_dot_escapes_quotes_in_names(self, run_cli, tmp_path):
+        f = tmp_path / "quoted.tis"
+        f.write_text(
+            "tis 1\nmode edges\nn 2\ntau 1\ndelta 1\nk 1\nunit false\n"
+            'vertex a"b 1\nvertex c 1\nlayer 1\nedge a"b c\n'
+        )
+        r = run_cli("conflict", str(f), "--out", "dot")
+        assert r.returncode == 0
+        assert r.stdout == (
+            'graph conflict {\n  "a\\"b";\n  "c";\n  "a\\"b" -- "c";\n}\n'
+        )
+
     def test_window_semantics_flag(self, run_cli):
         r = run_cli(
             "conflict",
@@ -232,6 +244,12 @@ class TestGen:
     def test_lcsp_bad_perms(self, run_cli):
         r = run_cli("gen", "lcsp", "--perms", "abc,ab")
         assert r.returncode == 2
+
+    def test_zero_denominator_spread_is_input_error(self, run_cli):
+        r = run_cli("gen", "random", "--n", "4", "--spread", "1/0")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "--spread" in r.stderr and "Traceback" not in r.stderr
 
 
 class TestBench:

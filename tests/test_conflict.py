@@ -22,7 +22,7 @@ class TestWindowPlan:
 
     def test_delta_equals_tau(self):
         plan = window_plan(3, 3, WindowSemantics.FIGURE)
-        assert plan.window_count == 1
+        assert plan.starts == (1,)
         assert list(plan.layers(1)) == [1, 2, 3]
 
     def test_formula_windows_are_longer(self):
@@ -32,7 +32,6 @@ class TestWindowPlan:
 
     def test_formula_delta_equals_tau_has_no_windows(self):
         plan = window_plan(3, 3, WindowSemantics.FORMULA)
-        assert plan.window_count == 0
         assert plan.starts == ()
 
 

@@ -12,7 +12,8 @@ with the objective unchanged. `gen_op_edges_n30.tis` is `tis gen op
 --n 30 --tau 3 --delta 2 --k 8 --seed 11` with each layer written as the
 edge list of its graph. Its cases were recorded while the cliques of
 those graphs were enumerated by Bron-Kerbosch; they are unchanged now that
-recognition sweeps the unit models synthesized for the layers.
+recognition sweeps each layer's normalized model along its umbrella
+ordering.
 `planted_n60_d9.tis` is `planted_deletion(60, 3, 1, 9, seed=1)` of
 `benchmark/workloads.py`: its `opvd` case, a minimum deletion set of 9
 vertices, was recorded while the deletion search still grew its candidate

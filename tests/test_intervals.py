@@ -18,8 +18,6 @@ from tis.intervals import (
     maximal_cliques,
     mwis_interval,
     normalized_model_for,
-    ordering_agrees,
-    recognize_unit_interval,
     shrink_witness,
 )
 from tis.model import IntervalModel, NotUnitError, StaticGraph, TemporalIntervalInstance
@@ -209,9 +207,8 @@ class TestSweepKernels:
         pairs = m.edge_pairs(skip=skip)
         assert all(a < b for a, b in pairs) and len(set(pairs)) == len(pairs)
         assert set(pairs) == want
-        g = m.induced_graph(skip=skip)
-        assert g.n == len(ivs)
-        assert set(g.edges) == want
+        if not skip:
+            assert m.induced_graph() == StaticGraph(m.n, want)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -245,7 +242,6 @@ class TestSweepKernels:
         m = model((0, 1), (2, 3))
         sweeps = (
             m.edge_pairs,
-            m.induced_graph,
             lambda skip: maximal_cliques(m, skip=skip),
         )
         for sweep in sweeps:
@@ -277,7 +273,7 @@ class TestOrderingAgrees:
             order[i], order[i + 1] = order[i + 1], order[i]
         g = m.induced_graph()
         want = oracles.first_disagreeing_pair(m.n, g.edges, order)
-        assert ordering_agrees(g, REOrdering(tuple(order))) == want
+        assert violating_pair(g.edges, REOrdering(tuple(order))) == want
 
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(0, 10), seed=st.integers(0, 10**6))
@@ -287,7 +283,7 @@ class TestOrderingAgrees:
         order = list(range(n))
         rng.shuffle(order)
         want = oracles.first_disagreeing_pair(n, edges, order)
-        assert ordering_agrees(StaticGraph(n, edges), REOrdering(tuple(order))) == want
+        assert violating_pair(edges, REOrdering(tuple(order))) == want
         reversed_pairs = [(v, u) for u, v in edges]
         assert violating_pair(reversed_pairs, REOrdering(tuple(order))) == want
 
@@ -412,16 +408,31 @@ def edges_instance(graphs):
     )
 
 
+def layer_model(g):
+    """The model ensure_unit keeps for g as the one layer of an edges
+    instance declared unit; NotUnitError when g is not unit interval."""
+    (m,) = ensure_unit(edges_instance([g]))
+    return m
+
+
+def assert_normalized_model_of(m, g):
+    """m induces g, with integer endpoints, and is g's normalized model
+    along its right endpoints: a permutation of 1..n."""
+    assert all(x.denominator == 1 for iv in m.intervals for x in iv)
+    assert m.induced_graph() == g
+    order = sorted(range(g.n), key=lambda v: m.intervals[v][1])
+    assert [m.intervals[v][1] for v in order] == list(range(1, g.n + 1))
+    assert m == normalized_model_for(g, REOrdering(tuple(order)))
+
+
 class TestUnitRecognition:
+    """The unit check of an edges-mode layer and the model it keeps."""
+
     @settings(max_examples=300, deadline=None)
     @given(m=unit_models())
-    def test_synthesized_model_is_integer_and_unit(self, m):
+    def test_layer_model_is_integer_and_normalized(self, m):
         g = m.induced_graph()
-        res = recognize_unit_interval(g)
-        assert res.ok
-        assert all(x.denominator == 1 for iv in res.model.intervals for x in iv)
-        assert res.model.is_unit_length()
-        assert res.model.induced_graph() == g
+        assert_normalized_model_of(layer_model(g), g)
 
     def test_unit_check_at_4000_vertices_in_seconds(self):
         # the edge-list copy of a 5-layer order-preserving instance: one
@@ -435,8 +446,7 @@ class TestUnitRecognition:
             assert model.induced_graph() == inst.layer_graph(t)
 
     def test_non_unit_layer_refused_without_a_witness(self, monkeypatch):
-        # the refusal needs the decision alone; the witness shrink is what
-        # recognize_unit_interval adds
+        # the refusal needs the C1P decision alone, so no witness is shrunk
         g = claw_on_path(2000)
         shrinks = []
         original = tis.intervals.shrink_witness
@@ -451,36 +461,25 @@ class TestUnitRecognition:
             ensure_unit(edges_instance([g]))
         assert time.perf_counter() - start < 5
         assert shrinks == []
-        res = recognize_unit_interval(g)
-        assert not res.ok
-        assert len(shrinks) == 1
-        assert 1000 in res.witness and 2000 in res.witness
 
     def test_edgeless_graph(self):
-        res = recognize_unit_interval(StaticGraph(3))
-        assert res.ok
-        assert res.model.induced_graph().edges == frozenset()
-        assert res.model.is_unit_length()
+        g = StaticGraph(3)
+        assert_normalized_model_of(layer_model(g), g)
 
-    def test_claw_refused_with_witness(self):
+    def test_claw_refused(self):
         g = StaticGraph(4, [(0, 1), (0, 2), (0, 3)])
-        res = recognize_unit_interval(g)
-        assert not res.ok
-        assert res.witness is not None
+        with pytest.raises(NotUnitError, match="layer 1 is not a unit interval graph"):
+            layer_model(g)
 
     def test_path_four(self):
         g = StaticGraph(4, [(0, 1), (1, 2), (2, 3)])
-        res = recognize_unit_interval(g)
-        assert res.ok
-        assert res.model.induced_graph() == g
+        assert_normalized_model_of(layer_model(g), g)
 
     def test_long_containment_case(self):
         # diamond plus pendant: proper interval, defeats naive left-endpoint
-        # placement, solvable with exact spacing
+        # placement
         g = StaticGraph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
-        res = recognize_unit_interval(g)
-        assert res.ok
-        assert res.model.induced_graph() == g
+        assert_normalized_model_of(layer_model(g), g)
 
     def test_random_unit_models_roundtrip(self):
         # up to 60 vertices, left ends on grids of several denominators;
@@ -494,11 +493,8 @@ class TestUnitRecognition:
             for _ in range(n):
                 left = F(rng.randint(0, span * denom), denom)
                 ivs.append((left, left + 1))
-            m = IntervalModel(tuple(ivs))
-            res = recognize_unit_interval(m.induced_graph())
-            assert res.ok
-            assert res.model.induced_graph() == m.induced_graph()
-            assert res.model.is_unit_length()
+            g = IntervalModel(tuple(ivs)).induced_graph()
+            assert_normalized_model_of(layer_model(g), g)
 
     def test_not_unit_interval_graphs_refused(self):
         rng = random.Random(123)
@@ -512,11 +508,12 @@ class TestUnitRecognition:
                 if rng.random() < 0.4
             ]
             g = StaticGraph(n, edges)
-            res = recognize_unit_interval(g)
-            if res.ok:
-                assert res.model.induced_graph() == g
-            else:
+            try:
+                m = layer_model(g)
+            except NotUnitError:
                 refused += 1
+            else:
+                assert_normalized_model_of(m, g)
         assert refused > 0
 
 
@@ -550,9 +547,9 @@ class TestNormalization:
 
     def test_agreement_check(self):
         g = StaticGraph(3, [(0, 1), (1, 2)])
-        assert ordering_agrees(g, REOrdering((0, 1, 2))) is None
+        assert violating_pair(g.edges, REOrdering((0, 1, 2))) is None
         g2 = StaticGraph(3, [(0, 2)])
-        assert ordering_agrees(g2, REOrdering((0, 1, 2))) is not None
+        assert violating_pair(g2.edges, REOrdering((0, 1, 2))) is not None
 
 
 class TestModelAlgebra:

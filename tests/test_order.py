@@ -120,7 +120,7 @@ class TestRecognition:
     def test_band_layer_in_seconds(self):
         # 1,000 vertices, each adjacent to the next 599: 401 maximal cliques
         # of up to 600 vertices, about 420,000 edges; the sweep of the
-        # synthesized unit model takes about a second
+        # layer's normalized model takes about a second
         n = 1000
         band = StaticGraph(
             n, [(u, v) for u in range(n) for v in range(u + 1, min(n, u + 600))]
@@ -299,7 +299,9 @@ class TestConflictIntervalModel:
                 [path, StaticGraph(3)], True,
             )
 
-        assert tis.ordering_agrees(path, sigma) == (1, 2)
+        with pytest.raises(tis.OrderingIncompatible) as exc:
+            tis.intervals._leftmost_earlier(3, path.edges, sigma)
+        assert exc.value.pair == (1, 2)
         # delta = 2: one window of both layers, so the conflict graph is
         # edgeless and its normalized model has left = right = position
         model = conflict_interval_model(instance(2), sigma)
