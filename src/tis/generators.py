@@ -9,6 +9,7 @@ is unit, model mode.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -68,8 +69,8 @@ def gen_order_preserving(
     """Unit instance guaranteed order preserving: one hidden permutation is
     drawn, and every layer lays its intervals out left to right in that
     order with fresh random positive gaps between right endpoints."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
+    if not 1 <= n <= sys.maxsize:
+        raise ValueError(f"need between 1 and {sys.maxsize} vertices, got {n}")
     rng = random.Random(seed)
     sigma = list(range(n))
     rng.shuffle(sigma)

@@ -17,15 +17,15 @@ positions ending immediately before it. Normalizing to an agreeing ordering
 puts right(v) at v's 1-based position and left(v) at the smallest position
 among the vertices sharing a clique with v. One pass over the edge pairs
 counts each vertex's earlier neighbours and finds the leftmost
-(`_leftmost_earlier`); normalization and recognition's re-check of a
-layer's edge set both read it.
+(`_leftmost_earlier`); normalization, recognition's re-check of a layer's
+edge set and the solvers' DP plan all read it.
 
 The canonical optimum is the lexicographically smallest maximum-weight set.
 `canonical_optimum` gets it from one optimizer run on perturbed integer
 weights, w_int(v) * 2^n + 2^(n-1-v), which make that set the only maximum;
-`mwis_interval` is one interval-scheduling DP on those weights: a plan of
-the model (`_schedule_plan`) and a run on it (`_schedule`). The fpt solver
-runs one plan many times, with each blocked vertex at weight zero.
+`mwis_interval` runs one interval-scheduling DP (`_schedule`) on those
+weights; the solvers' sweep plans it from `_leftmost_earlier` instead and
+runs it once per subset of S, with each blocked vertex at weight zero.
 """
 
 from __future__ import annotations
@@ -188,21 +188,15 @@ def mwis_interval(model: IntervalModel, weights: Sequence[Fraction]) -> Solution
             raise TypeError(f"weight {w!r}: weights must be int or Fraction")
     if any(w < 0 for w in weights):
         raise ValueError("negative weight refused")
-    items, prev = _schedule_plan(model)
+    # plan: items by (right rank, vertex); prev[i] counts those ending
+    # before item i starts (touching intervals conflict)
+    left, right, _, items = model.ranks()
+    rights = [right[v] for v in items]
+    prev = [bisect.bisect_left(rights, left[v], 0, i) for i, v in enumerate(items)]
     selected, opt = canonical_optimum(
         weights, lambda iw: [items[i] for i in _schedule(prev, [iw[v] for v in items])]
     )
     return Solution(selected, opt, "mwis-interval")
-
-
-def _schedule_plan(model: IntervalModel) -> tuple[list[int], list[int]]:
-    """The plan of the weighted interval-scheduling DP: the intervals sorted
-    by (right endpoint, vertex), and prev[i], how many of them end before
-    the i-th starts (touching intervals conflict). It runs on the endpoint
-    ranks, which keep order and ties."""
-    left, right, _, items = model.ranks()
-    rights = [right[v] for v in items]
-    return items, [bisect.bisect_left(rights, left[v], 0, i) for i, v in enumerate(items)]
 
 
 def _schedule(prev: Sequence[int], weights: Sequence[int]) -> list[int]:

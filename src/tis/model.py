@@ -28,7 +28,7 @@ Instance file format (UTF-8, line oriented, '#' starts a comment):
     edge <u> <v>                     (edges mode)
 
 Integers and rationals are written in ASCII digits, 'p' or 'p/q' with an
-optional sign and q > 0.
+optional sign and q > 0. A name is nonempty, with no whitespace and no '#'.
 
 Canonical serialization: header fields in the order above, vertices in
 declaration order, layers ascending, interval/edge lines sorted
@@ -84,7 +84,7 @@ class InternalError(RuntimeError):
 # ASCII digits only: `\d` would also take other scripts' decimal digits.
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
-_NAME_RE = re.compile(r"^\S+$")
+_NAME_RE = re.compile(r"[^\s#]+")  # what the parser reads as one token
 
 
 def _parse_ratio(token: str, line: int | None) -> tuple[int, int]:
@@ -448,7 +448,7 @@ class TemporalIntervalInstance:
         if len(set(names)) != n:
             raise InstanceError("duplicate vertex name")
         for name in names:
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 raise InstanceError(f"bad vertex name {name!r}")
         if len(weights) != n:
             raise InstanceError("weight count does not match vertex count")

@@ -136,8 +136,11 @@ def min_opvd(
     not order preserving, so by heredity every deletion set in the pool
     meets P. Raises BudgetExceeded when no set within `budget` exists: once
     no set of at most `budget` vertices meets every witness, or, before a
-    shrink, when deleting the whole pool fails.
+    shrink, when deleting the whole pool fails; a negative budget is a
+    ValueError.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     ensure_unit(inst)
     pool = inst.vertex_set(range(inst.n) if candidates is None else candidates)
     top = len(pool) if budget is None else min(budget, len(pool))

@@ -6,17 +6,14 @@ delta_independence_check on the input instance:
   solve_exact_bruteforce  branch and bound on the conflict graph (int
                           bitmasks)
   solve_greedy            weight-greedy with closed-neighborhood removal
-  solve_exact_op          interval sweep on the conflict graph normalized
-                          to an ordering that agrees with it
-  solve_fpt               parameterized by a deletion set S: one DP plan
-                          on the survivors' model, the conflict graph of
-                          inst induced on inst - S and normalized (no
-                          reduced instance is built), run once for each
-                          independent subset of S (only those are formed)
-                          with its neighbours at weight zero
+  solve_exact_op          the sweep with S empty, along an ordering that
+                          agrees with the conflict graph
+  solve_fpt               parameterized by a deletion set S: the sweep
+                          along the common ordering of inst - S
 
-The conflict graph, its interval model and the certificate all come from
-the one window fold in `conflict`.
+`_sweep` plans one interval-scheduling DP along the ordering, with no
+interval model built, and runs it once per independent subset of S. The
+conflict graph and the certificate come from `conflict`'s window fold.
 
 The three exact solvers return the canonical optimum, the lexicographically
 smallest optimal index set, from one optimizer run on the perturbed integer
@@ -37,14 +34,7 @@ from .conflict import (
     conflict_graph,
     delta_independence_check,
 )
-from .intervals import (
-    REOrdering,
-    _schedule,
-    _schedule_plan,
-    canonical_optimum,
-    mwis_interval,
-    normalized_model_for,
-)
+from .intervals import REOrdering, _leftmost_earlier, _schedule, canonical_optimum
 from .model import (
     InternalError,
     LimitExceeded,
@@ -52,10 +42,12 @@ from .model import (
     StaticGraph,
     TemporalIntervalInstance,
 )
+from .order import recognize_order_preserving
 
-# Unused here; benchmark/tracing.py wraps the tis.solvers binding.
+# Unused here; benchmark/tracing.py wraps these tis.solvers bindings.
+from .intervals import mwis_interval  # noqa: F401
 from .model import remove_vertices  # noqa: F401
-from .order import conflict_interval_model, recognize_order_preserving
+from .order import conflict_interval_model  # noqa: F401
 
 BRUTEFORCE_DEFAULT_LIMIT = 30
 
@@ -173,6 +165,52 @@ def solve_greedy(
     return _certified(inst, frozenset(chosen), total, "greedy", semantics)
 
 
+def _sweep(
+    inst: TemporalIntervalInstance,
+    deletion: frozenset[int],
+    ordering: REOrdering,
+    semantics: WindowSemantics,
+    algorithm: str,
+) -> Solution:
+    """The canonical optimum of inst, given a deletion set S and an ordering
+    of inst - S (survivors re-indexed densely in ascending order) agreeing
+    with its conflict graph (that of inst induced on the survivors);
+    OrderingIncompatible otherwise.
+
+    The DP items are the survivors in ordering order; prev[j], the leftmost
+    position among item j and its earlier neighbours, counts the items
+    ending before item j's normalized interval [prev[j] + 1, j + 1] starts.
+    The subsets X of S independent in the conflict graph of inst grow in
+    ascending order, only by vertices with no neighbour in X. Each X runs
+    the DP with its neighbours at weight 0, which the DP never takes; the
+    best X plus remainder is the maximizer of one canonical_optimum call.
+    """
+    g = conflict_graph(inst, semantics)
+    keep = [v for v in range(inst.n) if v not in deletion]
+    prev = _leftmost_earlier(len(keep), g.induced(keep).edges, ordering)
+    items = [keep[j] for j in ordering.order]  # plan items as vertices of inst
+    at = {v: i for i, v in enumerate(items)}
+    subsets: list[tuple[int, ...]] = [()]
+    for v in sorted(deletion):
+        subsets += [x + (v,) for x in subsets if g.neighbors(v).isdisjoint(x)]
+    blocks = {v: [at[u] for u in g.neighbors(v) if u not in deletion] for v in deletion}
+
+    def maximize(weights: list[int]) -> list[int]:
+        base = [weights[v] for v in items]
+
+        def run(x: tuple[int, ...]) -> list[int]:
+            w = base.copy()
+            for v in x:
+                for i in blocks[v]:
+                    w[i] = 0
+            return [*x, *(items[i] for i in _schedule(prev, w))]
+
+        return max(map(run, subsets), key=lambda xs: sum(weights[v] for v in xs))
+
+    selected, objective = canonical_optimum(inst.weights, maximize)
+    return _certified(inst, selected, objective, algorithm, semantics)
+
+
 def solve_exact_op(
     inst: TemporalIntervalInstance,
     ordering: REOrdering,
@@ -180,10 +218,10 @@ def solve_exact_op(
 ) -> Solution:
     """Exact solve for an instance whose conflict graph agrees with
     `ordering` (as it does when every layer does; OrderingIncompatible
-    otherwise): sweep the conflict interval model instead of branching."""
-    model = conflict_interval_model(inst, ordering, semantics)
-    inner = mwis_interval(model, inst.weights)
-    return _certified(inst, inner.selected, inner.objective, "exact-op", semantics)
+    otherwise): the sweep with no deletion set, instead of branching."""
+    if ordering.n != inst.n:
+        raise ValueError("ordering size does not match instance")
+    return _sweep(inst, frozenset(), ordering, semantics, "exact-op")
 
 
 def solve_fpt(
@@ -191,54 +229,17 @@ def solve_fpt(
     deletion_set: Iterable,
     semantics: WindowSemantics = WindowSemantics.FIGURE,
 ) -> Solution:
-    """Exact solve parameterized by a deletion set S to order preservation.
-
-    Recognizes inst - S in place, so an edges-mode unit declaration is
-    verified once, on inst, and builds no reduced instance. The conflict
-    graph of inst - S is the conflict graph of inst induced on the
-    survivors, since the window fold commutes with that restriction; the
-    interval-scheduling DP is planned once, on that induced graph
-    normalized along the survivors' common ordering. The subsets X of S
-    independent in the conflict graph of inst are grown in ascending order,
-    only by vertices outside X's neighbourhood, so no dependent X is
-    formed. Each X runs the DP with its neighbours at weight 0, which the
-    DP never takes; the best X plus remainder is the maximizer of one
-    canonical_optimum call, so the answer is the canonical optimum. Requires
-    inst - S to be order preserving. Runtime is exponential only in |S|.
+    """Exact solve parameterized by a deletion set S to order preservation:
+    the sweep along the common ordering of inst - S. Recognizes inst - S in
+    place, so an edges-mode unit declaration is verified once, on inst, and
+    builds no reduced instance. Requires inst - S to be order preserving.
+    Runtime is exponential only in |S|.
     """
     s_set = inst.vertex_set(deletion_set)
     rep = recognize_order_preserving(inst, witness=False, deleted=s_set)
     if rep.ordering is None:
         raise ValueError("deletion set does not leave an order-preserving instance")
-    g = conflict_graph(inst, semantics)
-    keep = [v for v in range(inst.n) if v not in s_set]
-    items, prev = _schedule_plan(normalized_model_for(g.induced(keep), rep.ordering))
-    items = [keep[j] for j in items]  # plan items as vertices of inst
-    at = {v: i for i, v in enumerate(items)}
-    s_sorted = sorted(s_set)
-    bit = {v: 1 << i for i, v in enumerate(s_sorted)}
-    subsets = [((), 0)]  # (X, its conflict neighbours in S as a mask of bit[])
-    for v in s_sorted:
-        near = sum(bit.get(u, 0) for u in g.neighbors(v))
-        subsets += [(x + (v,), nx | near) for x, nx in subsets if not nx & bit[v]]
-    blocks = {v: [at[u] for u in g.neighbors(v) if u not in s_set] for v in s_sorted}
-
-    def maximize(weights: list[int]) -> list[int]:
-        base = [weights[v] for v in items]
-        best, best_set = -1, []
-        for x, _ in subsets:
-            w = base.copy()
-            for v in x:
-                for i in blocks[v]:
-                    w[i] = 0
-            chosen = [*x, *(items[i] for i in _schedule(prev, w))]
-            total = sum(weights[v] for v in chosen)
-            if total > best:
-                best, best_set = total, chosen
-        return best_set
-
-    selected, objective = canonical_optimum(inst.weights, maximize)
-    return _certified(inst, selected, objective, "fpt", semantics)
+    return _sweep(inst, s_set, rep.ordering, semantics, "fpt")
 
 
 def solve(

@@ -241,6 +241,12 @@ class TestGen:
         assert r.stdout == ""
         assert r.stderr.startswith("error: ")
 
+    def test_vertex_count_past_a_list_is_input_error(self, run_cli):
+        r = run_cli("gen", "op", "--n", "100000000000000000000")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
     def test_lcsp_bad_perms(self, run_cli):
         r = run_cli("gen", "lcsp", "--perms", "abc,ab")
         assert r.returncode == 2

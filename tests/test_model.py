@@ -169,6 +169,50 @@ def test_int_and_fraction_numbers_round_trip():
     assert serialize_instance(back) == text
 
 
+NUMBERS = st.one_of(
+    st.integers(0, 50),
+    st.builds(F, st.integers(0, 50), st.integers(1, 9)),
+    st.floats(0, 50),
+    st.builds(Decimal, st.integers(0, 50)),
+    st.booleans(),
+)
+NAME_CHARS = st.one_of(st.sampled_from("ab#  \t\n\r\x0b\x1c\x85 "), st.characters())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    names=st.lists(st.text(NAME_CHARS, max_size=3), min_size=1, max_size=4, unique=True),
+    data=st.data(),
+)
+@example(names=["x#y", "b"], data=None)
+@example(names=["a\n", "b"], data=None)
+def test_mixed_numbers_and_names_round_trip_or_are_refused(names, data):
+    # every accepted instance survives its text form; every refusal is
+    # TypeError for a number that is not int or Fraction, and InstanceError
+    # for a name the file format cannot carry as one token
+    n = len(names)
+    if data is None:
+        weights, ends = [1] * n, [(0, 1)] * n
+    else:
+        weights = data.draw(st.lists(NUMBERS, min_size=n, max_size=n))
+        pairs = st.tuples(NUMBERS, NUMBERS).map(sorted).map(tuple)
+        ends = data.draw(st.lists(pairs, min_size=n, max_size=n))
+    numbers = [*weights, *(x for pair in ends for x in pair)]
+    inexact = any(type(x) not in (int, F) for x in numbers)
+    bad_name = any(not s or "#" in s or any(c.isspace() for c in s) for s in names)
+    try:
+        layer = IntervalModel(ends)
+        inst = TemporalIntervalInstance(names, weights, 1, 1, 0, "model", [layer], False)
+    except TypeError:
+        assert inexact
+        return
+    except InstanceError:
+        assert bad_name and not inexact
+        return
+    assert not inexact and not bad_name
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="this interpreter writes integers of any length",

@@ -80,6 +80,11 @@ class TestBudget:
         res = min_opvd(op_corpus[0], budget=0)
         assert res.size == 0
 
+    def test_negative_budget_is_refused(self, op_corpus):
+        # even where the empty set would do, a size-0 answer exceeds it
+        with pytest.raises(ValueError, match="nonnegative"):
+            min_opvd(op_corpus[0], budget=-1)
+
 
 class TestCandidates:
     def test_restricted_pool(self, pooled_trap):

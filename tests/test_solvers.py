@@ -198,6 +198,22 @@ class TestExactOp:
                 break
         assert checked >= 40
 
+    @pytest.mark.parametrize("semantics", list(WindowSemantics))
+    def test_is_fpt_with_empty_deletion_set(self, op_corpus, semantics, monkeypatch):
+        # one sweep: op is fpt with S empty, and builds no interval model
+        # once it has the ordering (every model construction sets its keys)
+        orderings = [tis.recognize_order_preserving(i).ordering for i in op_corpus]
+        built = []
+        set_keys = tis.model._set_keys
+        monkeypatch.setattr(
+            tis.model, "_set_keys", lambda *args: built.append(1) or set_keys(*args)
+        )
+        sols = [solve_exact_op(i, o, semantics) for i, o in zip(op_corpus, orderings)]
+        assert built == []
+        for inst, sol in zip(op_corpus, sols):
+            ref = solve_fpt(inst, (), semantics)
+            assert (sol.selected, sol.objective) == (ref.selected, ref.objective)
+
 
 class TestFpt:
     def test_matches_bruteforce(self, fpt_corpus):
@@ -262,9 +278,9 @@ class TestFpt:
         assert sol.objective == oracles.max_weight_independent(n, edges, weights)
 
     def test_one_model_and_one_certification(self, two_layer_path, monkeypatch):
-        # one conflict graph, of inst; the survivors' model is it induced
-        # and normalized, with no reduced instance built
-        calls = {"graph": 0, "model": 0, "reduce": 0, "check": 0}
+        # one conflict graph, of inst; the survivors' DP plan is read off it
+        # induced, along the ordering, with no reduced instance built
+        calls = {"graph": 0, "plan": 0, "reduce": 0, "check": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -275,7 +291,7 @@ class TestFpt:
 
         for name, key in (
             ("conflict_graph", "graph"),
-            ("normalized_model_for", "model"),
+            ("_leftmost_earlier", "plan"),
             ("remove_vertices", "reduce"),
             ("delta_independence_check", "check"),
         ):
@@ -286,7 +302,7 @@ class TestFpt:
             tis.model, "remove_vertices", counted("reduce", tis.model.remove_vertices)
         )
         solve_fpt(two_layer_path, frozenset({0, 1, 5}))
-        assert calls == {"graph": 1, "model": 1, "reduce": 0, "check": 1}
+        assert calls == {"graph": 1, "plan": 1, "reduce": 0, "check": 1}
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_wide_deletion_set_matches_op(self, seed):
@@ -317,7 +333,7 @@ class TestFpt:
             return wrapper
 
         for owner, name, key in (
-            (tis.solvers, "_schedule_plan", "plan"),
+            (tis.solvers, "_leftmost_earlier", "plan"),
             (tis.solvers, "_schedule", "dp"),
             (IntervalModel, "restrict", "restrict"),
         ):
