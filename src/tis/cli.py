@@ -176,7 +176,8 @@ def _cmd_conflict(args: argparse.Namespace) -> int:
         for a, b in pairs:
             print(f"{a} {b}")
     else:
-        quoted = {name: '"' + name.replace('"', '\\"') + '"' for name in inst.names}
+        escape = str.maketrans({"\\": "\\\\", '"': '\\"'})  # DOT's two escapes
+        quoted = {name: f'"{name.translate(escape)}"' for name in inst.names}
         print("graph conflict {")
         for name in inst.names:
             print(f"  {quoted[name]};")
@@ -328,3 +329,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -3,6 +3,9 @@ instance file I/O, and elementary graph algebra.
 
 An instance bundles a weighted vertex set, tau layers (each either an interval
 model or an explicit edge list), a window width delta, and a target size k.
+Both layer types answer the two edge queries the algorithms above this module ask:
+`edges`, the edge set, and `edge_pairs(skip=S)`, the edges without S, the
+survivors re-indexed densely in ascending order.
 All endpoints and weights are exact rationals, given as `int` or
 `fractions.Fraction` (any other number type is a TypeError); adjacency
 in a model is closed-interval intersection, so touching endpoints count as an
@@ -148,17 +151,15 @@ class StaticGraph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def induced(self, keep: Sequence[int]) -> "StaticGraph":
-        """Induced subgraph on `keep`, re-indexed densely in the given order."""
-        pos = {old: new for new, old in enumerate(keep)}
-        if len(pos) != len(keep):
-            raise ValueError("duplicate vertex in induced-subgraph selection")
-        edges = [
-            (pos[u], pos[v])
-            for (u, v) in self.edges
-            if u in pos and v in pos
+    def edge_pairs(
+        self, *, skip: frozenset[int] = frozenset()
+    ) -> list[tuple[int, int]]:
+        """The edges (a, b), a < b, each once; with `skip`, those without
+        these vertices, survivors re-indexed densely in ascending order."""
+        idx = dense_index(self.n, skip)
+        return [
+            (idx[u], idx[v]) for u, v in self.edges if u not in skip and v not in skip
         ]
-        return StaticGraph(len(keep), edges)
 
     def __eq__(self, other) -> bool:
         return (
@@ -259,7 +260,7 @@ class IntervalModel:
     or `Fraction`: anything else is a TypeError.
     """
 
-    __slots__ = ("_keys", "_scale", "_ranks")
+    __slots__ = ("_keys", "_scale", "_ranks", "_edges")
 
     def __init__(self, intervals: Iterable[tuple[Fraction, Fraction]]):
         nums, dens = [], []
@@ -321,6 +322,13 @@ class IntervalModel:
             object.__setattr__(self, "_ranks", _rank_endpoints(self._keys))
         return self._ranks
 
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The model's edge set (see edge_pairs), swept once and kept."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", frozenset(self.edge_pairs()))
+        return self._edges
+
     def edge_pairs(
         self, *, skip: frozenset[int] = frozenset()
     ) -> list[tuple[int, int]]:
@@ -353,7 +361,7 @@ class IntervalModel:
         return edges
 
     def induced_graph(self) -> StaticGraph:
-        """The model's graph (see edge_pairs)."""
+        """The model's graph, swept afresh (see edge_pairs): `edges` keeps its set."""
         return StaticGraph(self.n, self.edge_pairs())
 
     def restrict(self, keep: Sequence[int]) -> "IntervalModel":
@@ -390,6 +398,7 @@ def _set_keys(model: IntervalModel, keys: tuple, scale: int | None) -> None:
     object.__setattr__(model, "_keys", keys)
     object.__setattr__(model, "_scale", scale)
     object.__setattr__(model, "_ranks", None)
+    object.__setattr__(model, "_edges", None)
 
 
 def _keyed_model(keys: tuple, scale: int | None) -> IntervalModel:
@@ -409,8 +418,8 @@ class TemporalIntervalInstance:
     'edges'). `unit_flag` declares that all intervals within each layer share
     one length; in model mode this is verified at construction, in edges mode
     it is a declaration that unit-dependent operations verify lazily, once.
-    Weights must be `int` or `Fraction` (anything else is a TypeError) and
-    are stored as `Fraction`s.
+    Weights must be `int` or `Fraction` and are stored as `Fraction`s; tau,
+    delta and k must be `int` and unit_flag a `bool` (a TypeError otherwise).
     """
 
     __slots__ = (
@@ -423,7 +432,6 @@ class TemporalIntervalInstance:
         "unit_flag",
         "layers",
         "_name_to_index",
-        "_layer_cache",
         "_unit_models",
     )
 
@@ -444,6 +452,11 @@ class TemporalIntervalInstance:
             if type(w) not in _EXACT:
                 raise TypeError(f"weight {w!r}: weights must be int or Fraction")
         weights = tuple(w if type(w) is Fraction else Fraction(w) for w in weights)
+        for key, value in (("tau", tau), ("delta", delta), ("k", k)):
+            if type(value) is not int:  # a bool or float cannot be written back
+                raise TypeError(f"{key} {value!r}: must be an int")
+        if type(unit_flag) is not bool:
+            raise TypeError(f"unit_flag {unit_flag!r}: must be a bool")
         n = len(names)
         if len(set(names)) != n:
             raise InstanceError("duplicate vertex name")
@@ -495,7 +508,6 @@ class TemporalIntervalInstance:
         object.__setattr__(
             self, "_name_to_index", {name: i for i, name in enumerate(names)}
         )
-        object.__setattr__(self, "_layer_cache", [None] * tau)
         # Set by intervals.ensure_unit once an edges-mode unit declaration
         # has been verified: each layer's normalized model along its
         # umbrella ordering.
@@ -524,36 +536,18 @@ class TemporalIntervalInstance:
     def layer_edges(
         self, t: int, *, skip: frozenset[int] = frozenset()
     ) -> frozenset[tuple[int, int]]:
-        """The edges (a, b), a < b, of layer t (1-based). Without `skip`,
-        an edge list's own set, or a model's rank sweep, cached: the
-        instance is immutable. With `skip`, the edges of layer t of the
-        instance without those vertices, survivors re-indexed densely in
-        ascending order (the layer edges of remove_vertices(self, skip)),
-        found afresh each call: a model is swept past the skipped vertices,
-        an edge list filtered and re-indexed. No graph is built."""
+        """The edges (a, b), a < b, of layer t (1-based): the layer's kept
+        `edges`, or with `skip` those of layer t of remove_vertices(self,
+        skip), found afresh by the layer's `edge_pairs` (a model's sweep past
+        the skipped vertices, an edge list's filter). No graph is built."""
         if not 1 <= t <= self.tau:
             raise InstanceError(f"layer index {t} out of [1, {self.tau}]")
         layer = self.layers[t - 1]
-        if isinstance(layer, StaticGraph):
-            if not skip:
-                return layer.edges
-            idx = dense_index(self.n, skip)
-            return frozenset(
-                (idx[u], idx[v])
-                for u, v in layer.edges
-                if u not in skip and v not in skip
-            )
-        if skip:
-            return frozenset(layer.edge_pairs(skip=skip))
-        cached = self._layer_cache[t - 1]
-        if cached is None:
-            cached = frozenset(layer.edge_pairs())
-            self._layer_cache[t - 1] = cached
-        return cached
+        return frozenset(layer.edge_pairs(skip=skip)) if skip else layer.edges
 
     def layer_graph(self, t: int) -> StaticGraph:
         """The static graph of layer t (1-based): an edge list itself, or a
-        graph built on each call from a model's cached layer_edges."""
+        graph built on each call from a model's kept `edges`."""
         edges = self.layer_edges(t)
         layer = self.layers[t - 1]
         return layer if isinstance(layer, StaticGraph) else StaticGraph(self.n, edges)
@@ -814,7 +808,7 @@ def remove_vertices(
         if isinstance(layer, IntervalModel):
             layers.append(layer.restrict(keep))
         else:
-            layers.append(layer.induced(keep))
+            layers.append(StaticGraph(len(keep), layer.edge_pairs(skip=gone)))
     return TemporalIntervalInstance(
         [inst.names[v] for v in keep],
         [inst.weights[v] for v in keep],

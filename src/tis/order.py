@@ -7,10 +7,10 @@ property, which is how recognition works here; any C1P column order makes
 every maximal clique of every layer a contiguous block, and a contiguous
 clique cover forces the per-layer agreement condition directly.
 Recognition also answers for the instance minus a deleted vertex set
-without building that instance or any graph: the clique and edge sweeps
-run on each layer's cached integer endpoint ranks and pass over the
-deleted vertices, and the ordering found is re-checked against each
-layer's edge set (`layer_edges`).
+without building that instance or any graph: the clique sweeps run on each
+layer's kept integer endpoint ranks and pass over the deleted vertices, and
+the ordering found is re-checked against each layer's edge set without them
+(`layer_edges`: a model's sweep, an edge list's filter).
 
 On an order-preserving instance the conflict graph itself is an interval
 graph that agrees with the common ordering: for u before v, u meets v in

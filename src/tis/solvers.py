@@ -11,9 +11,9 @@ delta_independence_check on the input instance:
   solve_fpt               parameterized by a deletion set S: the sweep
                           along the common ordering of inst - S
 
-`_sweep` plans one interval-scheduling DP along the ordering, with no
-interval model built, and runs it once per independent subset of S. The
-conflict graph and the certificate come from `conflict`'s window fold.
+`_sweep` plans one interval-scheduling DP from the conflict graph's edges
+without S, along the ordering, and runs it once per independent subset of
+S. The conflict graph and the certificate come from `conflict`'s window fold.
 
 The three exact solvers return the canonical optimum, the lexicographically
 smallest optimal index set, from one optimizer run on the perturbed integer
@@ -187,7 +187,7 @@ def _sweep(
     """
     g = conflict_graph(inst, semantics)
     keep = [v for v in range(inst.n) if v not in deletion]
-    prev = _leftmost_earlier(len(keep), g.induced(keep).edges, ordering)
+    prev = _leftmost_earlier(len(keep), g.edge_pairs(skip=deletion), ordering)
     items = [keep[j] for j in ordering.order]  # plan items as vertices of inst
     at = {v: i for i, v in enumerate(items)}
     subsets: list[tuple[int, ...]] = [()]

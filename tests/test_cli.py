@@ -1,6 +1,9 @@
 import csv
 import io
+import re
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 
 import tis
@@ -42,6 +45,16 @@ class TestValidate:
         r = run_cli("validate", f"{DATA}/single.tis", "--frobnicate")
         assert r.returncode == 2
 
+    def test_runs_as_a_module(self):
+        r = subprocess.run(
+            [sys.executable, "-m", "tis.cli", "validate", f"{DATA}/single.tis"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert r.returncode == 0
+        assert r.stdout == "VALID n=1 tau=1 delta=1 k=0 mode=model unit=1\n"
+
 
 class TestConflict:
     def test_edge_list_exact(self, run_cli):
@@ -67,6 +80,29 @@ class TestConflict:
         assert r.stdout == (
             'graph conflict {\n  "a\\"b";\n  "c";\n  "a\\"b" -- "c";\n}\n'
         )
+
+    def test_dot_ids_parse_back_to_the_names(self, run_cli, tmp_path):
+        # a backslash ending a name must not escape the closing quote
+        names = ["a\\", 'b"c', 'x\\\\"y', "\\"]
+        f = tmp_path / "backslash.tis"
+        f.write_text(
+            "tis 1\nmode edges\nn 4\ntau 1\ndelta 1\nk 0\n"
+            + "".join(f"vertex {name}\n" for name in names)
+            + f"layer 1\nedge {names[0]} {names[1]}\nedge {names[0]} {names[2]}\n"
+        )
+        r = run_cli("conflict", str(f), "--out", "dot")
+        assert r.returncode == 0
+        lines = r.stdout.splitlines()[1:-1]
+        ids = [re.findall(r'"((?:[^"\\]|\\.)*)"', line) for line in lines]
+        assert [len(x) for x in ids] == [1, 1, 1, 1, 2, 2]
+
+        def unescape(x):
+            return re.sub(r"\\(.)", r"\1", x)
+
+        assert [unescape(x[0]) for x in ids[:4]] == names
+        pairs = [tuple(map(unescape, x)) for x in ids[4:]]
+        assert pairs == [(names[0], names[1]), (names[0], names[2])]
+        assert all(line.endswith(";") for line in lines)
 
     def test_window_semantics_flag(self, run_cli):
         r = run_cli(

@@ -231,6 +231,9 @@ class TestSweepKernels:
         assert inst.layer_edges(1, skip=skip) == want
         assert inst.layer_edges(1) == whole
         assert inst.layer_graph(1).edges == whole
+        # a model sweeps its edge set once and keeps it
+        assert m.edges == oracles.model_edge_set(m.intervals)
+        assert m.edges is m.edges
 
     @settings(max_examples=300, deadline=None)
     @given(m=models, drop=st.sets(st.integers(0, 13)))

@@ -45,8 +45,12 @@ def test_static_graph_basics():
     assert g.neighbors(1) == {0, 2}
     assert g.closed_neighborhood(1) == {0, 1, 2}
     assert g.degree(3) == 0
-    sub = g.induced([1, 2, 3])
-    assert sub.n == 3 and sub.edges == frozenset({(0, 1)})
+    assert sorted(g.edge_pairs()) == [(0, 1), (1, 2)]
+    # without vertex 0, survivors 1, 2, 3 re-indexed to 0, 1, 2
+    assert g.edge_pairs(skip=frozenset({0})) == [(0, 1)]
+    assert g.edge_pairs(skip=frozenset({1})) == []
+    with pytest.raises(ValueError):
+        g.edge_pairs(skip=frozenset({4}))
 
 
 def test_static_graph_rejects_bad_edges():
@@ -177,6 +181,14 @@ NUMBERS = st.one_of(
     st.booleans(),
 )
 NAME_CHARS = st.one_of(st.sampled_from("ab#  \t\n\r\x0b\x1c\x85 "), st.characters())
+# tau, delta, k and the unit flag: the file format writes an int and a bool
+HEADER_VALUES = st.one_of(
+    st.integers(0, 1), st.builds(F, st.integers(0, 1)), st.floats(0, 1), st.booleans()
+)
+HEADERS = st.one_of(
+    st.tuples(st.just(1), st.just(1), st.integers(0, 3), st.booleans()),
+    st.tuples(HEADER_VALUES, HEADER_VALUES, HEADER_VALUES, HEADER_VALUES),
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -188,28 +200,35 @@ NAME_CHARS = st.one_of(st.sampled_from("ab#  \t\n\r\x0b\x1c\x85 "), st.charact
 @example(names=["a\n", "b"], data=None)
 def test_mixed_numbers_and_names_round_trip_or_are_refused(names, data):
     # every accepted instance survives its text form; every refusal is
-    # TypeError for a number that is not int or Fraction, and InstanceError
-    # for a name the file format cannot carry as one token
+    # TypeError for a number that is not int or Fraction or a header field
+    # of another type than the format writes, and InstanceError for a name
+    # the file format cannot carry as one token or a header value out of
+    # range for the instance (one layer, so tau = delta = 1)
     n = len(names)
     if data is None:
-        weights, ends = [1] * n, [(0, 1)] * n
+        weights, ends, header = [1] * n, [(0, 1)] * n, (1, 1, 0, False)
     else:
         weights = data.draw(st.lists(NUMBERS, min_size=n, max_size=n))
         pairs = st.tuples(NUMBERS, NUMBERS).map(sorted).map(tuple)
         ends = data.draw(st.lists(pairs, min_size=n, max_size=n))
+        header = data.draw(HEADERS)
+    tau, delta, k, unit = header
     numbers = [*weights, *(x for pair in ends for x in pair)]
     inexact = any(type(x) not in (int, F) for x in numbers)
+    inexact |= any(type(x) is not int for x in (tau, delta, k)) or type(unit) is not bool
     bad_name = any(not s or "#" in s or any(c.isspace() for c in s) for s in names)
+    bad_value = bad_name or (tau, delta) != (1, 1)
     try:
         layer = IntervalModel(ends)
-        inst = TemporalIntervalInstance(names, weights, 1, 1, 0, "model", [layer], False)
+        bad_value |= unit and not oracles.unit_length(ends)
+        inst = TemporalIntervalInstance(names, weights, tau, delta, k, "model", [layer], unit)
     except TypeError:
         assert inexact
         return
     except InstanceError:
-        assert bad_name and not inexact
+        assert bad_value and not inexact
         return
-    assert not inexact and not bad_name
+    assert not inexact and not bad_value
     assert parse_instance(serialize_instance(inst)) == inst
 
 

@@ -15,6 +15,7 @@ from tis.model import (
     InternalError,
     IntervalModel,
     LimitExceeded,
+    StaticGraph,
     TemporalIntervalInstance,
 )
 from tis.solvers import (
@@ -350,6 +351,26 @@ class TestFpt:
         solve_fpt(inst, s, semantics)
         # no reduced instance, so no layer is restricted
         assert calls == {"plan": 1, "dp": independent, "restrict": 0}
+
+    @pytest.mark.parametrize("semantics", list(WindowSemantics))
+    def test_one_static_graph_after_recognition(self, semantics, monkeypatch):
+        # the conflict graph is the only graph built: the plan reads its
+        # edges without S, and in model mode neither recognition nor the
+        # certificate builds one
+        inst = tis.gen_order_preserving(60, 4, 2, 0, seed=3)
+        ordering = tis.recognize_order_preserving(inst, witness=False).ordering
+        built = []
+        init = StaticGraph.__init__
+
+        def counted(self, n, edges=()):
+            built.append(n)
+            init(self, n, edges)
+
+        monkeypatch.setattr(StaticGraph, "__init__", counted)
+        solve_exact_op(inst, ordering, semantics)
+        assert built == [inst.n]
+        solve_fpt(inst, [0, 2, 3, 46], semantics)
+        assert built == [inst.n, inst.n]
 
 def test_pipeline_at_2000_vertices_in_both_modes():
     # the whole op / fpt / greedy pipeline on a large order-preserving
