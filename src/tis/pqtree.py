@@ -21,11 +21,17 @@ non-root Q node needs no scan, since its pertinent span must reach an end.
 Untouched subtrees are never visited, and only the touched nodes have their
 per-reduction fields reset.
 
+A row whose leaves all have one parent skips all of that: the parent is
+the pertinent root and the leaves its full pertinent children, so its
+root template applies at once, for one index scan plus the row. More than
+half of the rows of an order-preserving pooled clique matrix are such
+rows, most of them a run of one Q node's children, which changes nothing.
+
 The cost is bound by the input, not by the tree: c1p_order takes about
-0.1 s on the path matrix {c, c+1} of 10,000 columns. The nested rows
+0.8 s on the path matrix {c, c+1} of 10,000 columns. The nested rows
 {0..i} stay slow because the input is large: at 3,000 columns they hold
 4.5 M entries, the templates grow a chain of full P nodes, and each
-pertinent subtree has about |S| nodes, 6-9 s in all (Python 3.11.7, on a
+pertinent subtree has about |S| nodes, 5 s in all (Python 3.11.7, on a
 shared 2-core machine).
 Every walk runs on an explicit list, never by recursion: nested rows make
 the tree as deep as the matrix is wide.
@@ -45,9 +51,9 @@ _FAIL = -1
 # list.index and the pass cost up to the child list's length, in C steps
 # against Python steps, so the break-even is a count of pertinent children,
 # not a share of the node. With list.index alone the nested rows {0..i} in
-# shrinking order go cubic (1,500 columns: 9.9 s against 0.8 s); with the
-# pass alone the path matrix of 10,000 columns takes 3.4 s against 1.0 s
-# (Python 3.11.7, shared 2-core machine).
+# shrinking order go cubic (1,500 columns: 6.9-7.2 s against 0.26 s); with
+# the pass alone the path matrix of 10,000 columns takes 1.5-1.8 s against
+# 0.7-0.9 s (Python 3.11.7, shared 2-core machine).
 _FEW = 8
 
 
@@ -59,8 +65,9 @@ class _Node:
         self.children = children if children is not None else []
         self.col = col
         self.parent: Optional[_Node] = None
-        for ch in self.children:
-            ch.parent = self
+        if children:  # not for a leaf
+            for ch in children:
+                ch.parent = self
         # Per-reduction fields, back at these values between reductions.
         self.count = 0  # row leaves below
         self.labelled = 0  # pertinent children labelled so far
@@ -84,6 +91,7 @@ class PQTree:
 
     def __init__(self, ncols: int):
         self.ncols = ncols
+        self.cols = frozenset(range(ncols))
         self.leaves = [_Node("L", col=c) for c in range(ncols)]
         if ncols == 0:
             self.root: Optional[_Node] = None
@@ -118,14 +126,15 @@ class PQTree:
         does; the tree must not be used further after a failed reduction.
         """
         S = frozenset(row)
-        cols = range(self.ncols)
-        for c in S:
-            # O(1) for an int; a value equal to one, such as 1.0, passes too
-            if c not in cols:
-                raise ValueError(f"row {sorted(S)} not within 0..{self.ncols - 1}")
+        # a value equal to a column, such as 1.0, is that column
+        if not S <= self.cols:
+            raise ValueError(f"row {sorted(S)} not within 0..{self.ncols - 1}")
         if len(S) <= 1 or len(S) == self.ncols:
             return True
         leaves = [self.leaves[int(c)] for c in S]
+        parent = leaves[0].parent
+        if all(leaf.parent is parent for leaf in leaves):
+            return self._reduce_siblings(parent, leaves, S)
         touched = self._bubble(leaves)
         try:
             labelled = self._label(leaves, len(S))
@@ -138,6 +147,35 @@ class PQTree:
                 node.count = node.labelled = 0
                 node.label = EMPTY
                 node.pert = None
+
+    @staticmethod
+    def _reduce_siblings(node: _Node, leaves: list[_Node], S: frozenset[int]) -> bool:
+        """The root template of a pertinent root whose pertinent children
+        are the row's leaves, all of them full: no bubble, no labels. A Q
+        node succeeds only if the leaves are already a run of its children,
+        and is left as it is; a P node holding more than the row moves the
+        leaves, in their order, into one new P child."""
+        children = node.children
+        k = len(leaves)
+        if node.kind == "Q":
+            first = last = children.index(leaves[0])
+            while first > 0 and children[first - 1].col in S:
+                first -= 1
+            while last + 1 < len(children) and children[last + 1].col in S:
+                last += 1
+            return last - first + 1 == k
+        if len(children) == k:
+            return True
+        if k < _FEW:
+            pos = sorted([children.index(leaf) for leaf in leaves])
+        else:
+            pos = [i for i, ch in enumerate(children) if ch.col in S]
+        group = _Node("P", [children[i] for i in pos])
+        group.parent = node
+        for i in reversed(pos):
+            del children[i]
+        children.append(group)
+        return True
 
     @staticmethod
     def _bubble(leaves: list[_Node]) -> list[_Node]:

@@ -251,8 +251,9 @@ def solve(
 ) -> Optional[Solution]:
     """Run one algorithm end to end: "exact" (bruteforce, capped at
     `limit` vertices), "greedy", "op" (recognition, then the sweep; None when
-    the instance is not order preserving) or "fpt" (min_opvd when no
-    `deletion_set` is given, then solve_fpt)."""
+    the instance is not order preserving) or "fpt" (solve_fpt; with no
+    `deletion_set`, min_opvd's set and the sweep along its ordering, which
+    is the one solve_fpt would recognize again)."""
     if alg == "exact":
         return solve_exact_bruteforce(inst, semantics, limit=limit)
     if alg == "greedy":
@@ -263,9 +264,13 @@ def solve(
             return None
         return solve_exact_op(inst, rep.ordering, semantics)
     if alg == "fpt":
-        if deletion_set is None:
-            deletion_set = opvd.min_opvd(inst).deletion_set
-        return solve_fpt(inst, deletion_set, semantics)
+        if deletion_set is not None:
+            return solve_fpt(inst, deletion_set, semantics)
+        res = opvd.min_opvd(inst)
+        keep = [v for v in range(inst.n) if v not in res.deletion_set]
+        at = {v: i for i, v in enumerate(keep)}
+        ordering = REOrdering(tuple(at[v] for v in res.ordering))
+        return _sweep(inst, res.deletion_set, ordering, semantics, "fpt")
     raise ValueError(f"unknown algorithm {alg!r}")
 
 

@@ -188,12 +188,66 @@ def test_tree_invariants_after_every_reduce(ncols, data):
             break
 
 
+@settings(max_examples=100, deadline=None)
+@given(ncols=st.integers(2, 12), rng=st.randoms(use_true_random=True))
+def test_tree_invariants_after_reducing_runs_of_the_frontier(ncols, rng):
+    # short runs of the current frontier build Q nodes, and most later runs
+    # lie within one: their leaves share a parent; now and then a stray
+    # column makes a row fail
+    tree = PQTree(ncols)
+    rows = []
+    for _ in range(4 * ncols):
+        order = tree.frontier()
+        a = rng.randrange(ncols - 1)
+        row = set(order[a : a + rng.randint(2, 3)])
+        if rng.random() < 0.05:
+            row.add(rng.randrange(ncols))
+        rows.append(frozenset(row))
+        ok = tree.reduce(row)
+        _check_tree(tree, ok)
+        if not ok:
+            assert not c1p_by_subset_dp(rows, ncols)
+            break
+        assert check_consecutive(rows, tree.frontier())
+
+
+def _chain_tree():
+    """Five columns after {0,1}, {1,2}, {2,3}: columns 0-3 are the children
+    of one Q node, in that order."""
+    tree = PQTree(5)
+    for row in ({0, 1}, {1, 2}, {2, 3}):
+        assert tree.reduce(row)
+    (q,) = [node for node in tree.root.children if node.kind == "Q"]
+    assert [ch.col for ch in q.children] == [0, 1, 2, 3]
+    return tree
+
+
+@pytest.mark.parametrize("row", [{0, 2}, {0, 3}])
+def test_siblings_apart_in_a_q_node_fail(row):
+    assert not _chain_tree().reduce(row)
+
+
+def test_siblings_adjacent_in_a_q_node_leave_the_tree():
+    tree = _chain_tree()
+    assert tree.reduce({1, 2})
+    assert tree.frontier() == [4, 0, 1, 2, 3]
+    _check_tree(tree, True)
+
+
+def test_siblings_in_a_wider_p_node_move_into_one_child():
+    tree = PQTree(6)
+    assert tree.reduce({4, 1})
+    assert tree.frontier() == [0, 2, 3, 5, 1, 4]
+    _check_tree(tree, True)
+
+
 # Frontier pins. c1p_order's frontier is the ordering `tis recognize` prints,
 # so the reduce may not change which ordering it returns. The digests hash
 # c1p_order's result (frontier or None) on each matrix in turn.
 
 RANDOM_FRONTIERS = "72f61b1e1eb4d982f24962c1ce1acb1952d02d0f94e9635a9973c9756521b5b2"
 WORKLOAD_FRONTIERS = "871f37f1e65c0eec76a9101d519165410d75518da3695fe779e2c05fd52eccf9"
+LEAF_PARENT_FRONTIERS = "ee81390b315fbccfc3593cbcfc0c7d820cd7d988ecd454501f56c018353059fa"
 
 
 def _random_matrices():
@@ -253,6 +307,25 @@ def _workload_matrices():
             yield pooled_clique_matrix(inst, deleted=frozenset({v})), inst.n - 1
 
 
+def _leaf_parent_matrices():
+    """Matrices whose rows mostly have all their leaves under one parent:
+    pooled clique matrices of 10 order-preserving instances at n=120 with
+    their rows reversed; the path matrix of 2,000 columns with each row
+    repeated at once, then with the whole matrix repeated; and the path
+    matrix of 200 columns, one wide Q node, followed by a row of two or
+    three of its children, adjacent or not."""
+    for seed in range(10):
+        inst = gen_order_preserving(120, 5, 2, 0, seed=seed)
+        yield pooled_clique_matrix(inst)[::-1], inst.n
+    path = [{c, c + 1} for c in range(1999)]
+    yield [row for row in path for _ in range(2)], 2000
+    yield path + path, 2000
+    path = [{c, c + 1} for c in range(199)]
+    rows = ({0, 2}, {0, 199}, {57, 59}, {100, 101}, {198, 199}, {3, 150}, {10, 11, 13})
+    for row in rows:
+        yield path + [row], 200
+
+
 def _frontier_digest(matrices):
     h = hashlib.sha256()
     for rows, ncols in matrices:
@@ -267,3 +340,7 @@ def test_frontiers_pinned_on_random_matrices():
 
 def test_frontiers_pinned_on_pooled_clique_matrices():
     assert _frontier_digest(_workload_matrices()) == WORKLOAD_FRONTIERS
+
+
+def test_frontiers_pinned_on_rows_under_one_parent():
+    assert _frontier_digest(_leaf_parent_matrices()) == LEAF_PARENT_FRONTIERS

@@ -225,6 +225,24 @@ class TestFpt:
             assert sol.objective == ref.objective
             assert sol.selected == ref.selected
 
+    @pytest.mark.parametrize("semantics", list(WindowSemantics))
+    def test_solve_recognizes_once_with_no_set(self, fpt_corpus, semantics, monkeypatch):
+        # solve(…, "fpt") sweeps along min_opvd's ordering instead of
+        # recognizing inst - D again, and answers as solve_fpt on D does
+        refs = [
+            solve_fpt(i, tis.min_opvd(i).deletion_set, semantics) for i in fpt_corpus[:30]
+        ]
+        seen = []
+        monkeypatch.setattr(
+            tis.solvers, "recognize_order_preserving", lambda *a, **k: seen.append(1)
+        )
+        for inst, ref in zip(fpt_corpus, refs):
+            sol = solve(inst, "fpt", semantics)
+            assert (sol.selected, sol.objective, sol.algorithm) == (
+                ref.selected, ref.objective, ref.algorithm,
+            )
+        assert seen == []
+
     def test_accepts_non_minimal_deletion_set(self, two_layer_path):
         ref = solve_exact_bruteforce(two_layer_path)
         for s in (frozenset({0}), frozenset({0, 1}), frozenset({0, 5})):
